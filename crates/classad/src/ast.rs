@@ -110,6 +110,35 @@ pub enum Expr {
     Call(String, Vec<Expr>),
 }
 
+impl Expr {
+    /// Call `f` on every attribute reference in the expression, with its
+    /// scope (`None` for a bare name), in source order. The reference set
+    /// is everything evaluation can read from either ad: builtins are pure
+    /// functions of their arguments.
+    pub fn for_each_attr_ref(&self, f: &mut impl FnMut(Option<Scope>, &str)) {
+        match self {
+            Expr::Lit(_) => {}
+            Expr::Attr(name) => f(None, name),
+            Expr::ScopedAttr(scope, name) => f(Some(*scope), name),
+            Expr::Unary(_, e) => e.for_each_attr_ref(f),
+            Expr::Binary(_, l, r) => {
+                l.for_each_attr_ref(f);
+                r.for_each_attr_ref(f);
+            }
+            Expr::Ternary(c, t, e) => {
+                c.for_each_attr_ref(f);
+                t.for_each_attr_ref(f);
+                e.for_each_attr_ref(f);
+            }
+            Expr::Call(_, args) => {
+                for a in args {
+                    a.for_each_attr_ref(f);
+                }
+            }
+        }
+    }
+}
+
 impl fmt::Display for Expr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -156,5 +185,21 @@ mod tests {
             Box::new(Expr::ScopedAttr(Scope::Target, "b".into())),
         );
         assert_eq!(e.to_string(), "(a && TARGET.b)");
+    }
+
+    #[test]
+    fn attr_refs_visit_every_reference_with_its_scope() {
+        let e = crate::parse("MY.a > b ? min(TARGET.c, 2) : !d").unwrap();
+        let mut refs = Vec::new();
+        e.for_each_attr_ref(&mut |scope, name| refs.push((scope, name.to_string())));
+        assert_eq!(
+            refs,
+            vec![
+                (Some(Scope::My), "a".to_string()),
+                (None, "b".to_string()),
+                (Some(Scope::Target), "c".to_string()),
+                (None, "d".to_string()),
+            ]
+        );
     }
 }

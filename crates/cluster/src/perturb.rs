@@ -357,6 +357,22 @@ impl PerturbPlan {
             if e.duration.is_zero() {
                 return Err(format!("perturb plan event {i}: zero duration"));
             }
+            let extra = match e.kind {
+                PerturbKind::OffloadLatency { extra } => extra,
+                _ => SimDuration::ZERO,
+            };
+            for (what, secs) in [
+                ("opening", e.at.as_secs_f64()),
+                ("duration", e.duration.as_secs_f64()),
+                ("latency extra", extra.as_secs_f64()),
+            ] {
+                if secs > MAX_PERTURB_SECS {
+                    return Err(format!(
+                        "perturb plan event {i}: {what} of {secs} s exceeds the \
+                         {MAX_PERTURB_SECS:e} s bound"
+                    ));
+                }
+            }
         }
         Ok(())
     }
@@ -412,6 +428,15 @@ fn push_windows(
         t += duration_secs + rng.exponential(mean_gap_secs);
     }
 }
+
+/// Largest magnitude, in seconds, any perturbation time may take: window
+/// gaps, durations, latency extras, the horizon and the jitter bound in a
+/// [`PerturbConfig`], and window openings, durations and extras in a
+/// [`PerturbPlan`]. Roughly 31.7 years, i.e. 10¹² ticks: the runtime adds
+/// these to simulated instants and sums overlapping extras, and even 10⁷
+/// such terms stay far inside what `SimDuration`'s `u64` tick count holds,
+/// so a validated stack can never overflow the clock.
+pub const MAX_PERTURB_SECS: f64 = 1e9;
 
 /// Knobs for the whole perturbation stack. Everything defaults to
 /// disabled: the default configuration perturbs nothing and leaves every
@@ -475,6 +500,11 @@ impl PerturbConfig {
         ] {
             if !v.is_finite() || v < 0.0 {
                 return Err(format!("perturb config: {name} must be finite and >= 0"));
+            }
+            if v > MAX_PERTURB_SECS {
+                return Err(format!(
+                    "perturb config: {name} = {v} exceeds the {MAX_PERTURB_SECS:e} s bound"
+                ));
             }
         }
         if self.derate.enabled() {
@@ -680,6 +710,15 @@ mod tests {
             .is_err());
         assert!(mk(PerturbKind::StaleAds, 1, 0, 10).validate(&c).is_err());
         assert!(mk(PerturbKind::StaleAds, 0, 0, 10).validate(&c).is_ok());
+        // Magnitudes past the clock-safe bound are refused.
+        assert!(mk(derate, 1, 0, 2_000_000_000).validate(&c).is_err());
+        let huge = SimDuration::from_ticks(u64::MAX / 2);
+        assert!(mk(PerturbKind::OffloadLatency { extra: huge }, 1, 0, 10)
+            .validate(&c)
+            .is_err());
+        let mut late = mk(derate, 1, 0, 10);
+        late.events[0].at = SimTime::from_ticks(u64::MAX - 5);
+        assert!(late.validate(&c).is_err());
         assert!(mk(
             PerturbKind::OffloadLatency {
                 extra: SimDuration::ZERO
@@ -749,5 +788,25 @@ mod tests {
         assert!(PerturbConfig::from_spec("bogus:1").is_err());
         assert!(PerturbConfig::from_spec("derate:600").is_err());
         assert!(PerturbConfig::from_spec("derate:600:60:1.5").is_err());
+    }
+
+    #[test]
+    fn magnitudes_past_the_clock_bound_are_rejected() {
+        // Each of these once validated and then overflowed `SimDuration`
+        // while the run summed windows, extras or jitter.
+        for spec in [
+            "latency:1:1:99999999999999999999",
+            "latency:1:1e10:2",
+            "latency:1e10:1:2",
+            "derate:600:1e12:0.5",
+            "stale-ads:400:1e300",
+            "jitter:1e15",
+            "derate:600:60:0.5,horizon:1e10",
+        ] {
+            let err = PerturbConfig::from_spec(spec).unwrap_err();
+            assert!(err.contains("bound"), "{spec}: {err}");
+        }
+        // The bound itself is accepted.
+        assert!(PerturbConfig::from_spec("latency:1:1:1e9").is_ok());
     }
 }

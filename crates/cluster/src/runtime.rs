@@ -750,6 +750,9 @@ struct World<'a, D: DeviceSubstrate, C: CosmicSubstrate> {
     parked: BTreeSet<JobId>,
     /// Jobs held permanently after exhausting `recovery.max_retries`.
     retired: BTreeSet<JobId>,
+    /// Arrivals processed so far: every workload job is submitted exactly
+    /// once, so all arrivals are in once this reaches the job count.
+    submitted: usize,
     /// Jobs whose first dispatch already recorded a queue-wait sample
     /// (re-dispatches after a fault must not re-count).
     wait_recorded: BTreeSet<JobId>,
@@ -880,6 +883,7 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
             down_devs: BTreeSet::new(),
             attempts: BTreeMap::new(),
             parked: BTreeSet::new(),
+            submitted: 0,
             retired: BTreeSet::new(),
             wait_recorded: BTreeSet::new(),
             derate_active: BTreeMap::new(),
@@ -1002,6 +1006,7 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
                 .submit_held(id, attrs::sharing_job_ad(spec), sim.now())
                 .expect("workload ids are unique"),
         }
+        self.submitted += 1;
         self.trace_ev(|| TraceEvent::Submitted {
             job: id,
             at: sim.now(),
@@ -2144,21 +2149,24 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
         );
     }
 
-    /// True when no job will ever need another negotiation cycle.
+    /// True when no job will ever need another negotiation cycle. O(1):
+    /// the arrival counter and the queue's maintained state counts stand
+    /// in for walks over every job (still run as debug checks).
     ///
     /// Retired jobs (held after exhausting retries) count as terminal;
     /// parked jobs do not — their pending `Release` will need a cycle.
     fn drained(&self) -> bool {
-        if !self.queue_has_all_jobs() {
+        // All arrivals processed ⇔ every workload job has been submitted.
+        let all_in = self.submitted == self.wl.jobs.len();
+        debug_assert_eq!(
+            all_in,
+            self.wl.jobs.iter().all(|j| self.queue.get(j.id).is_some())
+        );
+        if !all_in {
             return false;
         }
         let (idle, matched, running) = self.queue.active_counts();
         matched == 0 && running == 0 && self.parked.is_empty() && idle == self.retired.len()
-    }
-
-    fn queue_has_all_jobs(&self) -> bool {
-        // All arrivals processed ⇔ every workload job has been submitted.
-        self.wl.jobs.iter().all(|j| self.queue.get(j.id).is_some())
     }
 
     // ------------------------------------------------------------------

@@ -74,6 +74,7 @@
 //! paths), not observable matchmaking state.
 
 use crate::attrs;
+use phishare_classad::ast::Scope;
 use phishare_classad::{ClassAd, Value};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
@@ -182,6 +183,9 @@ pub struct SlotMeta {
     /// (most machine ads do not, letting the negotiator skip that half of
     /// the two-sided match entirely).
     has_requirements: bool,
+    /// Job attributes the slot's `Requirements`/`Rank` can read (`TARGET.x`
+    /// and bare `x`, lower-cased, deduplicated); empty for plain ads.
+    job_refs: Vec<String>,
 }
 
 impl SlotMeta {
@@ -195,6 +199,7 @@ impl SlotMeta {
             machine_lc: str_attr(attrs::lc::MACHINE),
             indexed_vals: indexed_attrs.iter().map(|a| numeric_attr(ad, a)).collect(),
             has_requirements: ad.get_expr(attrs::lc::REQUIREMENTS).is_some(),
+            job_refs: slot_job_refs(ad),
         }
     }
 
@@ -214,6 +219,26 @@ impl SlotMeta {
     pub fn indexed_val(&self, idx: usize) -> Option<f64> {
         self.indexed_vals.get(idx).copied().flatten()
     }
+}
+
+/// Job attributes a slot ad's `Requirements` and `Rank` can read when
+/// evaluated with the job as TARGET: every `TARGET.x`, and every bare `x`
+/// (bare names fall through to TARGET when the slot ad lacks them — kept
+/// unconditionally, which over-approximates and so stays exact).
+fn slot_job_refs(ad: &ClassAd) -> Vec<String> {
+    let mut refs = Vec::new();
+    for attr in [attrs::lc::REQUIREMENTS, attrs::lc::RANK] {
+        if let Some(e) = ad.parsed_expr(attr) {
+            e.for_each_attr_ref(&mut |scope, name| {
+                if scope != Some(Scope::My) {
+                    refs.push(name.to_ascii_lowercase());
+                }
+            });
+        }
+    }
+    refs.sort_unstable();
+    refs.dedup();
+    refs
 }
 
 fn numeric_attr(ad: &ClassAd, attr: &str) -> Option<f64> {
@@ -369,6 +394,10 @@ pub struct Collector {
     /// index id used by [`Collector::indexed_range_at_least`]. Shared by
     /// all partitions, so index ids mean the same thing everywhere.
     indexed_attrs: Vec<String>,
+    /// Job attributes read by slot `Requirements`/`Rank` expressions, with
+    /// how many current slot ads read each. Empty for plain machine ads;
+    /// non-empty widens the negotiator's autocluster key.
+    slot_job_refs: BTreeMap<String, usize>,
     /// Monotone mutation sequence; bumped by every match-relevant change.
     /// Global across partitions, so dirty stamps are totally ordered.
     seq: u64,
@@ -411,6 +440,7 @@ impl Collector {
             by_name: BTreeMap::new(),
             by_machine: BTreeMap::new(),
             indexed_attrs: Vec::new(),
+            slot_job_refs: BTreeMap::new(),
             seq: 0,
         };
         let fm = c.ensure_attr_index(attrs::lc::PHI_FREE_MEMORY);
@@ -565,6 +595,14 @@ impl Collector {
                 }
             }
         }
+        for name in &status.meta.job_refs {
+            if let Some(n) = self.slot_job_refs.get_mut(name) {
+                *n -= 1;
+                if *n == 0 {
+                    self.slot_job_refs.remove(name);
+                }
+            }
+        }
         let pi = self.part_of(slot.node);
         self.parts[pi].unindex_attrs(slot, status);
     }
@@ -580,8 +618,19 @@ impl Collector {
                 ids.insert(pos, slot);
             }
         }
+        for name in &status.meta.job_refs {
+            *self.slot_job_refs.entry(name.clone()).or_default() += 1;
+        }
         let pi = self.part_of(slot.node);
         self.parts[pi].index_attrs(slot, status);
+    }
+
+    /// Job attributes that some current slot ad's `Requirements` or `Rank`
+    /// can read, in name order. Empty — an O(1) check — unless a slot ad
+    /// carries its own expressions over job attributes; the negotiator
+    /// then widens its autocluster key by these attributes' values.
+    pub fn slot_job_refs(&self) -> impl Iterator<Item = &str> {
+        self.slot_job_refs.keys().map(String::as_str)
     }
 
     /// Insert or refresh a slot's advertisement. Claim state is preserved on

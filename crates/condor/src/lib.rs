@@ -32,7 +32,7 @@ pub mod startd;
 pub mod status;
 
 pub use collector::{Collector, SlotId};
-pub use negotiator::{CycleStats, Match, MatchPath, Negotiator};
+pub use negotiator::{CycleStats, CycleWork, Match, MatchPath, Negotiator};
 pub use queue::{JobQueue, JobState, QueuedJob};
 pub use startd::Startd;
 pub use status::{pool_status, NodeStatus, QueueTotals};

@@ -44,34 +44,78 @@
 //!
 //! Jobs without a standing certificate (fresh arrivals, qedited jobs,
 //! hold/release round trips) are screened against the whole pool, exactly
-//! like the full path.
+//! like the full path — unless another member of their autocluster holds
+//! one (below).
+//!
+//! # Autoclusters
+//!
+//! A FIFO backlog is mostly copies of a few job classes: every MC job
+//! carries `Requirements = TARGET.PhiDevicesFree >= 1`, and the paper's
+//! workloads are seven Table I application types. As in HTCondor, the
+//! delta path negotiates per *autocluster* — jobs whose significant
+//! attributes are equal — instead of per job. The queue interns the key at
+//! submit and qedit time ([`QueuedJob::autocluster`]): the source of
+//! the job's `Requirements` and `Rank`, plus the value (or absence) of
+//! every job attribute they read (`MY.x`, bare `x`). Non-significant
+//! attributes such as `ClusterId` or `RequestPhiThreads` stay out, so a
+//! backlog of identical requests is one cluster. When a slot ad carries its
+//! own `Requirements`/`Rank` over job attributes (the collector keeps the
+//! referenced names with O(1) emptiness, [`Collector::slot_job_refs`]),
+//! each cycle widens the key by the values of those attributes, so the
+//! machine half of the match is equal across a cluster too.
+//!
+//! Equal (widened) keys mean equal admission and rank against every slot
+//! ad, which makes two facts about certificates and winners cluster-wide:
+//!
+//! * **Screens.** A member's certificate at `c` proves that no slot
+//!   unchanged since `c` admits *any* member. So the admitters of every
+//!   member, certified or not, lie in `dirty_since(c_max)`, where `c_max`
+//!   is the newest certificate any member holds. Phase 2 therefore screens
+//!   once per cluster: over `dirty_since(c_max)` (or the cluster's narrow
+//!   prefilter), or over the indexed pool when no member holds a
+//!   certificate. [`best_among`] gives the same winner over any superset
+//!   of the admitters, so the screen is each member's exact snapshot
+//!   winner.
+//! * **The commit memo.** Phase 3 keeps one memo per cluster: `(seq,
+//!   best)`, the cluster's exact winner over the whole pool at collector
+//!   sequence `seq`. It is seeded with the screen at the snapshot, and
+//!   every member's commit replaces it with its own choice. A later member
+//!   needs only `dirty_since(seq)`, by the certificate argument above
+//!   applied to the cluster instead of a job. After the cluster's first
+//!   failure (`best = None`), the rest of the backlog costs one empty dirt
+//!   range per job, where it used to cost a re-rank of the cycle's dirt
+//!   plus a whole-pool rescan.
+//!
+//! Per-cycle work is therefore O(clusters × dirt) rather than O(backlog ×
+//! dirt). [`CycleWork`] ([`Negotiator::negotiate_with_work`]) counts it:
+//! screens, clusters, slot evaluations per phase, memo hits and rescans.
 //!
 //! The cycle runs in three phases:
 //!
-//! 1. **index registration** (`&mut Collector`): every pending job's
+//! 1. **index registration** (`&mut Collector`): every cluster's
 //!    `>=`-shaped guards register their attribute with the collector's
 //!    guard indexes (idempotent, capped), so phases 2–3 are pure reads plus
 //!    the serial commit. This also resolves the well-known attributes once
 //!    per cycle instead of per (job, slot) evaluation.
-//! 2. **screen** (read-only): each pending job computes its best slot
-//!    against the pre-cycle snapshot — certificate holders over their dirty
-//!    set, the rest over the indexed pool. Jobs are independent here, so
-//!    the screen shards across scoped threads (see below).
-//! 3. **commit** (serial): jobs claim in FIFO order. A job whose screened
-//!    winner is still valid (not claimed, not dirtied since the snapshot)
-//!    only re-ranks slots dirtied *during* the cycle by earlier commits and
-//!    takes the better of the two — the winner rule is a total order, so
-//!    this combination equals a full re-evaluation. If the screened winner
-//!    was invalidated (claimed or re-advertised mid-cycle), the job falls
-//!    back to a full indexed rescan; if the screen found nothing, only the
-//!    in-cycle dirty set can admit the job.
+//! 2. **screen** (read-only): each autocluster computes its best slot
+//!    against the pre-cycle snapshot — over the dirt since its newest
+//!    certificate, or over the indexed pool. Clusters are independent
+//!    here, so with enough of them the screen shards across scoped threads
+//!    (see below).
+//! 3. **commit** (serial): jobs claim in FIFO order through their
+//!    cluster's memo. A memo winner that is still valid (not claimed, not
+//!    dirtied since the memo) only competes with slots dirtied after it —
+//!    the winner rule is a total order, so this combination equals a full
+//!    re-evaluation. An invalidated winner (claimed or re-advertised
+//!    mid-cycle) falls back to a full indexed rescan; an empty memo means
+//!    only the dirt since it can admit the job.
 //!
 //! # Sharding determinism
 //!
 //! Phase 2 is embarrassingly parallel: workers share `&JobQueue` and
 //! `&Collector` (no interior mutability anywhere below them), each owns a
-//! contiguous chunk of the pending list, and results merge back by job
-//! index. Screening is a pure function of (job, snapshot), so the shard
+//! contiguous chunk of the cluster list, and results merge back by cluster
+//! index. Screening is a pure function of (cluster, snapshot), so the shard
 //! count — [`Negotiator::with_shards`] or the `PHISHARE_NEGOTIATOR_SHARDS`
 //! env override — cannot change any result, only wall-clock time. All
 //! claims and resource decrements happen in the serial phase 3, which
@@ -81,13 +125,13 @@
 //! # Partitioned screen
 //!
 //! When the collector is partitioned ([`Collector::with_partitions`]), the
-//! delta path swaps the job-sharded screen for a *partition-parallel* one:
-//! each pending job first compiles a [`ScreenPlan`] — pin resolution,
+//! delta path swaps the cluster-sharded screen for a *partition-parallel*
+//! one: each cluster first compiles a [`ScreenPlan`] — pin resolution,
 //! guard-index selection, and the selectivity probe hoisted out of the
-//! per-partition loop — and then every partition screens all jobs against
+//! per-partition loop — and then every partition screens all clusters against
 //! only its own slots (its dirty shard, its slice of the guard index, its
 //! unclaimed slots). Certificate dirt is cached per partition as one
-//! stamp-sorted vector and sliced per job by binary search. The
+//! stamp-sorted vector and sliced per cluster by binary search. The
 //! per-partition winners merge serially by the winner rule (highest rank,
 //! ties to the lowest slot id) — a total order, so merging the partition
 //! maxima equals evaluating the union, and the result is bit-identical to
@@ -118,6 +162,8 @@ use phishare_classad::{eval, parse, ClassAd, CompiledReq, Value};
 use phishare_sim::SimDuration;
 use phishare_workload::JobId;
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
+use std::fmt::Write;
 
 /// Summary of one negotiation cycle (what the negotiator logs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -128,6 +174,32 @@ pub struct CycleStats {
     pub matched: usize,
     /// Jobs left pending: no unclaimed slot satisfied the two-sided match.
     pub unmatched: usize,
+}
+
+/// How much work one negotiation cycle did, by phase — what the cycle
+/// *cost*, as opposed to what it decided ([`CycleStats`]). The match paths
+/// decide identically but work differently, so this is reported beside
+/// the stats ([`Negotiator::negotiate_with_work`]), never inside them.
+/// Deterministic: a pure function of the cycle's inputs and path.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct CycleWork {
+    /// Phase-2 screens run: one per autocluster on the delta path, except
+    /// clusters whose newest certificate already covers the pool; none on
+    /// the full path (it has no screen phase).
+    pub screens: usize,
+    /// Distinct autoclusters among the pending jobs (delta path).
+    pub autoclusters: usize,
+    /// Slot evaluations (candidates ranked against the two-sided match
+    /// predicate) in the phase-2 screen.
+    pub screen_evals: usize,
+    /// Slot evaluations in the phase-3 FIFO commit.
+    pub commit_evals: usize,
+    /// Commits answered from the autocluster memo an earlier member of the
+    /// same cluster left this cycle, without a whole-pool rescan.
+    pub memo_hits: usize,
+    /// Commits that ran a whole-pool `best_slot` rescan (on the full path,
+    /// every commit does).
+    pub fallbacks: usize,
 }
 
 /// A successful match produced by one cycle.
@@ -163,8 +235,8 @@ impl std::str::FromStr for MatchPath {
     }
 }
 
-/// Pending-job count below which the phase-2 screen stays serial — thread
-/// spawn overhead dwarfs the work saved on small queues.
+/// Screen count below which the phase-2 screen stays serial — thread
+/// spawn overhead dwarfs the work saved on a handful of screens.
 const PAR_SCREEN_MIN: usize = 32;
 
 /// Cap on the default shard count (explicit overrides may exceed it).
@@ -173,6 +245,9 @@ const MAX_DEFAULT_SHARDS: usize = 8;
 /// How many candidates the guard-index selectivity probe inspects per
 /// index before choosing the narrowest (see [`pick_guard_index`]).
 const SELECTIVITY_PROBE: usize = 33;
+
+/// One screened winner: highest rank, ties to the lowest slot id.
+type Best = Option<(f64, SlotId)>;
 
 /// The matchmaking component of the central manager.
 #[derive(Debug, Clone, Copy)]
@@ -262,9 +337,20 @@ impl Negotiator {
         queue: &mut JobQueue,
         collector: &mut Collector,
     ) -> (Vec<Match>, CycleStats) {
+        let (matches, stats, _) = self.negotiate_with_work(queue, collector);
+        (matches, stats)
+    }
+
+    /// [`Negotiator::negotiate_with_stats`] plus the cycle's work counters
+    /// ([`CycleWork`]) — the accessor for what the configured path cost.
+    pub fn negotiate_with_work(
+        &self,
+        queue: &mut JobQueue,
+        collector: &mut Collector,
+    ) -> (Vec<Match>, CycleStats, CycleWork) {
         match self.path {
-            MatchPath::Delta => self.negotiate_delta_with_stats(queue, collector),
-            MatchPath::Full => self.negotiate_full_with_stats(queue, collector),
+            MatchPath::Delta => self.delta_cycle(queue, collector),
+            MatchPath::Full => full_cycle(queue, collector),
         }
     }
 
@@ -275,20 +361,26 @@ impl Negotiator {
         queue: &mut JobQueue,
         collector: &mut Collector,
     ) -> (Vec<Match>, CycleStats) {
-        register_guard_indexes(queue, &queue.pending(), collector);
-        let mut scratch: Vec<SlotId> = Vec::new();
-        run_cycle(queue, collector, |job, collector, _| {
-            best_slot(&job.ad, job.compiled(), collector, &mut scratch).map(|(_, slot)| slot)
-        })
+        let (matches, stats, _) = full_cycle(queue, collector);
+        (matches, stats)
     }
 
-    /// The incremental delta path (see module docs for the three phases
-    /// and the exactness argument).
+    /// The incremental delta path (see module docs for the three phases,
+    /// autoclusters and the exactness argument).
     pub fn negotiate_delta_with_stats(
         &self,
         queue: &mut JobQueue,
         collector: &mut Collector,
     ) -> (Vec<Match>, CycleStats) {
+        let (matches, stats, _) = self.delta_cycle(queue, collector);
+        (matches, stats)
+    }
+
+    fn delta_cycle(
+        &self,
+        queue: &mut JobQueue,
+        collector: &mut Collector,
+    ) -> (Vec<Match>, CycleStats, CycleWork) {
         // Quiescence fast path, checked before the pending list is even
         // materialized: when every idle certificate covers the newest
         // watermark, the executed cycle would re-screen empty dirty sets,
@@ -296,64 +388,89 @@ impl Negotiator {
         // sequence — a pure no-op whose stats we can emit directly.
         if self.quiescence && Self::cycle_is_quiescent(queue, collector) {
             let idle = queue.idle_count();
-            return (
-                Vec::new(),
-                CycleStats {
-                    considered: idle,
-                    matched: 0,
-                    unmatched: idle,
-                },
-            );
+            let stats = CycleStats {
+                considered: idle,
+                matched: 0,
+                unmatched: idle,
+            };
+            return (Vec::new(), stats, CycleWork::default());
         }
         let pending = queue.pending();
-        // Phase 1: register guard indexes while we still hold `&mut`.
-        register_guard_indexes(queue, &pending, collector);
-        let s0 = collector.seq();
-        // Phase 2: read-only screen against the pre-cycle snapshot —
-        // partition-parallel when the collector is partitioned, job-sharded
-        // otherwise (the P=1 path is byte-for-byte the pre-partition one).
-        let screens = if collector.partitions() > 1 {
-            screen_pending_partitioned(queue, &pending, collector)
-        } else {
-            screen_pending(queue, &pending, collector, self.shard_count())
+        let clusters = Autoclusters::of(queue, &pending, collector);
+        let watermark = collector.max_watermark();
+        let mut work = CycleWork {
+            screens: clusters
+                .reps
+                .iter()
+                .filter(|r| r.cert.is_none_or(|c| c < watermark))
+                .count(),
+            autoclusters: clusters.reps.len(),
+            ..CycleWork::default()
         };
-        // Phase 3: serial FIFO commit.
+        // Phase 1: register guard indexes while we still hold `&mut`. All
+        // members of a cluster share one compiled requirement.
+        let reps: Vec<JobId> = clusters.reps.iter().map(|r| r.job).collect();
+        register_guard_indexes(queue, &reps, collector);
+        let s0 = collector.seq();
+        // Phase 2: one read-only screen per autocluster against the
+        // pre-cycle snapshot — partition-parallel when the collector is
+        // partitioned, sharded over clusters otherwise.
+        let (screens, screen_evals) = if collector.partitions() > 1 {
+            screen_partitioned(queue, &clusters.reps, collector)
+        } else {
+            screen_clusters(queue, &clusters.reps, collector, self.shard_count())
+        };
+        work.screen_evals = screen_evals;
+        // Phase 3: serial FIFO commit through the per-cluster memo, seeded
+        // with each cluster's screen at the snapshot sequence.
+        let mut memo: Vec<Memo> = screens
+            .into_iter()
+            .map(|best| Memo {
+                seq: s0,
+                best,
+                by_member: false,
+            })
+            .collect();
         let mut scratch: Vec<SlotId> = Vec::new();
-        run_cycle(queue, collector, |job, collector, idx| {
-            let choice = match screens[idx] {
-                // Screened unmatched against the snapshot: only slots
-                // dirtied by this cycle's earlier commits can admit.
-                None => best_among(
-                    &job.ad,
-                    job.compiled(),
-                    collector,
-                    collector.dirty_since(s0),
-                ),
-                Some((rank0, winner)) => {
-                    let valid = collector.get(winner).is_some_and(|s| !s.claimed)
-                        && !collector.dirtied_after(winner, s0);
-                    if valid {
-                        // The snapshot winner still stands; only in-cycle
-                        // dirty slots could beat it. Winner rule: higher
-                        // rank, ties to the lowest slot id.
-                        match best_among(
+        let (matches, stats) = run_cycle(queue, collector, |job, collector, idx| {
+            let memo = &mut memo[clusters.of[idx]];
+            let mut evals = 0;
+            // The memo stands unless its winner was claimed or
+            // re-advertised since (then the runner-up is unknown).
+            let stands = memo.best.is_none_or(|(_, winner)| {
+                collector.get(winner).is_some_and(|s| !s.claimed)
+                    && !collector.dirtied_after(winner, memo.seq)
+            });
+            let choice = if stands {
+                work.memo_hits += usize::from(memo.by_member);
+                // Only slots dirtied since the memo can admit the cluster
+                // anew or beat its standing winner — none at all while the
+                // pool is unchanged (the common backlog case).
+                let fresh = (memo.seq < collector.seq())
+                    .then(|| {
+                        best_among(
                             &job.ad,
                             job.compiled(),
                             collector,
-                            collector.dirty_since(s0),
-                        ) {
-                            Some((r, s)) if r > rank0 || (r == rank0 && s < winner) => Some((r, s)),
-                            _ => Some((rank0, winner)),
-                        }
-                    } else {
-                        // Winner claimed or re-advertised mid-cycle; the
-                        // snapshot's runner-up is unknown, so rescan.
-                        best_slot(&job.ad, job.compiled(), collector, &mut scratch)
-                    }
-                }
+                            collector.dirty_since(memo.seq),
+                            &mut evals,
+                        )
+                    })
+                    .flatten();
+                better(memo.best, fresh)
+            } else {
+                work.fallbacks += 1;
+                best_slot(&job.ad, job.compiled(), collector, &mut scratch, &mut evals)
+            };
+            work.commit_evals += evals;
+            *memo = Memo {
+                seq: collector.seq(),
+                best: choice,
+                by_member: true,
             };
             choice.map(|(_, slot)| slot)
-        })
+        });
+        (matches, stats, work)
     }
 
     /// The pre-optimization negotiation cycle, kept verbatim as the
@@ -385,6 +502,98 @@ impl Negotiator {
             }
             best.map(|(_, slot)| slot)
         })
+    }
+}
+
+/// The full-rematch cycle: every pending job rescans the whole pool.
+fn full_cycle(
+    queue: &mut JobQueue,
+    collector: &mut Collector,
+) -> (Vec<Match>, CycleStats, CycleWork) {
+    register_guard_indexes(queue, &queue.pending(), collector);
+    let mut scratch: Vec<SlotId> = Vec::new();
+    let mut work = CycleWork::default();
+    let (matches, stats) = run_cycle(queue, collector, |job, collector, _| {
+        work.fallbacks += 1;
+        best_slot(
+            &job.ad,
+            job.compiled(),
+            collector,
+            &mut scratch,
+            &mut work.commit_evals,
+        )
+        .map(|(_, slot)| slot)
+    });
+    (matches, stats, work)
+}
+
+/// One autocluster's standing answer during the FIFO commit: `best` was
+/// the cluster's exact winner over the whole pool at collector sequence
+/// `seq`. Seeded by the phase-2 screen at the snapshot; every member's
+/// commit replaces it with its own (exact) choice.
+#[derive(Debug, Clone, Copy)]
+struct Memo {
+    seq: u64,
+    best: Best,
+    /// Whether an earlier member of this cycle wrote the memo.
+    by_member: bool,
+}
+
+/// One autocluster of a delta cycle.
+#[derive(Debug, Clone, Copy)]
+struct ClusterRep {
+    /// The cluster's first pending member in FIFO order, whose ad every
+    /// screen of the cluster evaluates (all members' ads evaluate alike).
+    job: JobId,
+    /// The newest standing unmatched certificate among the members, if any
+    /// member holds one.
+    cert: Option<u64>,
+}
+
+/// The pending jobs of one delta cycle grouped into autoclusters.
+struct Autoclusters {
+    /// Dense cluster index of each pending job, parallel to the pending
+    /// list.
+    of: Vec<usize>,
+    /// One entry per cluster, in order of first appearance.
+    reps: Vec<ClusterRep>,
+}
+
+impl Autoclusters {
+    /// Group `pending` by interned autocluster id — widened, when any slot
+    /// ad carries expressions over job attributes, by the values of those
+    /// attributes (module docs).
+    fn of(queue: &JobQueue, pending: &[JobId], collector: &Collector) -> Self {
+        let widen: Vec<&str> = collector.slot_job_refs().collect();
+        let mut by_id: HashMap<u32, usize> = HashMap::new();
+        let mut by_widened: HashMap<(u32, String), usize> = HashMap::new();
+        let mut of = Vec::with_capacity(pending.len());
+        let mut reps: Vec<ClusterRep> = Vec::new();
+        for &id in pending {
+            let job = queue.get(id).expect("pending job exists");
+            let next = reps.len();
+            let k = if widen.is_empty() {
+                *by_id.entry(job.autocluster()).or_insert(next)
+            } else {
+                let mut values = String::new();
+                for name in &widen {
+                    let _ = write!(values, "{:?};", job.ad.get(name));
+                }
+                *by_widened
+                    .entry((job.autocluster(), values))
+                    .or_insert(next)
+            };
+            if k == next {
+                reps.push(ClusterRep {
+                    job: id,
+                    cert: None,
+                });
+            }
+            // `None < Some(_)`: the newest certificate wins.
+            reps[k].cert = reps[k].cert.max(job.eval_seq());
+            of.push(k);
+        }
+        Autoclusters { of, reps }
     }
 }
 
@@ -440,11 +649,11 @@ fn run_cycle(
 }
 
 /// Ensure a guard index exists for every `>=`/`>`-shaped guard attribute of
-/// the pending jobs. Idempotent and capped (the collector refuses past
+/// the given jobs. Idempotent and capped (the collector refuses past
 /// [`crate::collector::MAX_ATTR_INDEXES`]; those guards fall back to the
 /// unclaimed scan); steady state is a handful of string compares per job.
-fn register_guard_indexes(queue: &JobQueue, pending: &[JobId], collector: &mut Collector) {
-    for &id in pending {
+fn register_guard_indexes(queue: &JobQueue, jobs: &[JobId], collector: &mut Collector) {
+    for &id in jobs {
         let req = queue.get(id).expect("pending job exists").compiled();
         for g in req.guards() {
             if matches!(g.op, GuardOp::Ge | GuardOp::Gt) {
@@ -454,46 +663,54 @@ fn register_guard_indexes(queue: &JobQueue, pending: &[JobId], collector: &mut C
     }
 }
 
-/// Phase-2 screen of every pending job against the current (frozen)
-/// collector snapshot, sharded across scoped threads when the queue is
-/// long enough. Returns one entry per pending job, merged by index —
-/// bit-identical to the serial screen (module docs).
-fn screen_pending(
+/// Phase-2 screen of every autocluster against the current (frozen)
+/// collector snapshot, sharded across scoped threads when there are enough
+/// screens to pay for the spawn. Returns one winner per cluster, merged by
+/// index — bit-identical to the serial screen (module docs) — plus the
+/// slot evaluations spent.
+fn screen_clusters(
     queue: &JobQueue,
-    pending: &[JobId],
+    reps: &[ClusterRep],
     collector: &Collector,
     shards: usize,
-) -> Vec<Option<(f64, SlotId)>> {
-    let screen_chunk = |ids: &[JobId]| -> Vec<Option<(f64, SlotId)>> {
+) -> (Vec<Best>, usize) {
+    let screen_chunk = |reps: &[ClusterRep]| -> (Vec<Best>, usize) {
         let mut scratch: Vec<SlotId> = Vec::new();
-        ids.iter()
-            .map(|&id| {
-                let job = queue.get(id).expect("pending job exists");
-                screen_job(job, collector, &mut scratch)
+        let mut evals = 0;
+        let screens = reps
+            .iter()
+            .map(|rep| {
+                let job = queue.get(rep.job).expect("pending job exists");
+                screen_job(job, rep.cert, collector, &mut scratch, &mut evals)
             })
-            .collect()
+            .collect();
+        (screens, evals)
     };
 
-    if shards <= 1 || pending.len() < PAR_SCREEN_MIN {
-        return screen_chunk(pending);
+    if shards <= 1 || reps.len() < PAR_SCREEN_MIN {
+        return screen_chunk(reps);
     }
-    let chunk = pending.len().div_ceil(shards);
-    let mut screens = Vec::with_capacity(pending.len());
+    let chunk = reps.len().div_ceil(shards);
+    let mut screens = Vec::with_capacity(reps.len());
+    let mut evals = 0;
     std::thread::scope(|scope| {
-        let handles: Vec<_> = pending
+        let handles: Vec<_> = reps
             .chunks(chunk)
-            .map(|ids| scope.spawn(move || screen_chunk(ids)))
+            .map(|reps| scope.spawn(move || screen_chunk(reps)))
             .collect();
         for handle in handles {
-            screens.extend(handle.join().expect("screen shard panicked"));
+            let (part, n) = handle.join().expect("screen shard panicked");
+            screens.extend(part);
+            evals += n;
         }
     });
-    screens
+    (screens, evals)
 }
 
-/// One job's per-cycle screening recipe, compiled once and reused by every
-/// partition: pin resolution, guard-index selection, and the selectivity
-/// probe are hoisted here instead of re-running per (job, partition).
+/// One cluster's per-cycle screening recipe, compiled once and reused by
+/// every partition: pin resolution, guard-index selection, and the
+/// selectivity probe are hoisted here instead of re-running per (cluster,
+/// partition).
 #[derive(Debug, Clone)]
 enum ScreenPlan {
     /// Certificate holder: re-rank only slots dirtied after this sequence.
@@ -505,7 +722,7 @@ enum ScreenPlan {
     /// certificate holder whose own prefilter is provably narrow (see
     /// [`stale_narrow_plan`]) gains nothing from partition fan-out, so its
     /// winner is computed up front and every partition skips it.
-    Resolved(Option<(f64, SlotId)>),
+    Resolved(Best),
     /// Pinned to a slot name (resolved once; `None` = no such slot).
     Name(Option<SlotId>),
     /// Pinned to a machine; its slots, resolved once.
@@ -516,7 +733,7 @@ enum ScreenPlan {
     Scan,
 }
 
-/// Compile one certificate-less job's [`ScreenPlan`], mirroring
+/// Compile one certificate-less cluster's [`ScreenPlan`], mirroring
 /// [`best_slot`]'s pre-screen order exactly.
 fn plan_job(req: &CompiledReq, collector: &Collector) -> ScreenPlan {
     if req.is_never() {
@@ -533,30 +750,34 @@ fn plan_job(req: &CompiledReq, collector: &Collector) -> ScreenPlan {
 }
 
 /// Phase-2 screen over a partitioned collector: every partition screens
-/// all pending jobs against only its own slots, then the per-partition
+/// all autoclusters against only its own slots, then the per-partition
 /// winners merge serially by the winner rule. Bit-identical to
-/// [`screen_pending`] for any partition count (module docs): each plan's
+/// [`screen_clusters`] for any partition count (module docs): each plan's
 /// per-partition candidate sets union to exactly the serial candidate set,
 /// and the winner rule is a total order, so the merge of partition maxima
 /// is the global maximum.
-fn screen_pending_partitioned(
+fn screen_partitioned(
     queue: &JobQueue,
-    pending: &[JobId],
+    reps: &[ClusterRep],
     collector: &Collector,
-) -> Vec<Option<(f64, SlotId)>> {
-    let plans: Vec<ScreenPlan> = pending
+) -> (Vec<Best>, usize) {
+    let mut evals = 0;
+    let plans: Vec<ScreenPlan> = reps
         .iter()
-        .map(|&id| {
-            let job = queue.get(id).expect("pending job exists");
-            match job.eval_seq() {
+        .map(|rep| {
+            let job = queue.get(rep.job).expect("pending job exists");
+            match rep.cert {
                 // A certificate no dirt has outrun still covers the pool.
                 Some(seq) if collector.max_watermark() <= seq => ScreenPlan::Never,
-                // Prefer the job's own narrow prefilter over the dirty walk
-                // when it is provably smaller — and since it is at most a
-                // handful of slots, screen it right here against the global
-                // indexes instead of fanning it out to every partition.
+                // Prefer the cluster's own narrow prefilter over the dirty
+                // walk when it is provably smaller — and since it is at
+                // most a handful of slots, screen it right here against the
+                // global indexes instead of fanning it out to every
+                // partition.
                 Some(seq) => match stale_narrow_plan(job.compiled(), collector) {
-                    Some(plan) => ScreenPlan::Resolved(screen_narrow(job, collector, &plan)),
+                    Some(plan) => {
+                        ScreenPlan::Resolved(screen_narrow(job, collector, &plan, &mut evals))
+                    }
                     None => ScreenPlan::Dirty(seq),
                 },
                 None => plan_job(job.compiled(), collector),
@@ -572,68 +793,60 @@ fn screen_pending_partitioned(
         })
         .min();
 
-    let screen_partition = |pi: usize| -> Vec<Option<(f64, SlotId)>> {
+    let screen_partition = |pi: usize| -> (Vec<Best>, usize) {
         // Per-cycle dirty cache: this partition's dirt since the oldest
-        // certificate, stamp-sorted; each job slices it by binary search.
+        // certificate, stamp-sorted; each cluster slices it by binary
+        // search.
         let dirt: Vec<(u64, SlotId)> = match oldest_cert {
             Some(seq) => collector.partition_dirty_entries_since(pi, seq).collect(),
             None => Vec::new(),
         };
-        pending
+        let mut evals = 0;
+        let screens = reps
             .iter()
             .zip(&plans)
-            .map(|(&id, plan)| {
-                let job = queue.get(id).expect("pending job exists");
+            .map(|(rep, plan)| {
+                let job = queue.get(rep.job).expect("pending job exists");
+                let (ad, req) = (&job.ad, job.compiled());
                 match plan {
                     ScreenPlan::Dirty(seq) => {
                         let start = dirt.partition_point(|&(stamp, _)| stamp <= *seq);
-                        best_among(
-                            &job.ad,
-                            job.compiled(),
-                            collector,
-                            dirt[start..].iter().map(|&(_, slot)| slot),
-                        )
+                        let candidates = dirt[start..].iter().map(|&(_, slot)| slot);
+                        best_among(ad, req, collector, candidates, &mut evals)
                     }
-                    ScreenPlan::Never => None,
                     // Already screened globally at compilation; the merge
                     // seeds these directly.
-                    ScreenPlan::Resolved(_) => None,
-                    ScreenPlan::Name(slot) => best_among(
-                        &job.ad,
-                        job.compiled(),
-                        collector,
-                        slot.filter(|s| collector.part_of(s.node) == pi),
-                    ),
-                    ScreenPlan::Machine(slots) => best_among(
-                        &job.ad,
-                        job.compiled(),
-                        collector,
-                        slots
+                    ScreenPlan::Never | ScreenPlan::Resolved(_) => None,
+                    ScreenPlan::Name(slot) => {
+                        let candidates = slot.filter(|s| collector.part_of(s.node) == pi);
+                        best_among(ad, req, collector, candidates, &mut evals)
+                    }
+                    ScreenPlan::Machine(slots) => {
+                        let candidates = slots
                             .iter()
                             .copied()
-                            .filter(|s| collector.part_of(s.node) == pi),
-                    ),
-                    ScreenPlan::Guard(idx, bound) => best_among(
-                        &job.ad,
-                        job.compiled(),
-                        collector,
-                        collector.partition_indexed_range_at_least(pi, *idx, *bound),
-                    ),
-                    ScreenPlan::Scan => best_among(
-                        &job.ad,
-                        job.compiled(),
-                        collector,
-                        collector.partition_unclaimed_iter(pi),
-                    ),
+                            .filter(|s| collector.part_of(s.node) == pi);
+                        best_among(ad, req, collector, candidates, &mut evals)
+                    }
+                    ScreenPlan::Guard(idx, bound) => {
+                        let candidates =
+                            collector.partition_indexed_range_at_least(pi, *idx, *bound);
+                        best_among(ad, req, collector, candidates, &mut evals)
+                    }
+                    ScreenPlan::Scan => {
+                        let candidates = collector.partition_unclaimed_iter(pi);
+                        best_among(ad, req, collector, candidates, &mut evals)
+                    }
                 }
             })
-            .collect()
+            .collect();
+        (screens, evals)
     };
 
     let parts = collector.partitions();
     let threads = crate::collector::partition_threads(parts);
-    let mut per_part: Vec<Vec<Option<(f64, SlotId)>>> = Vec::with_capacity(parts);
-    if threads > 1 && !pending.is_empty() {
+    let mut per_part: Vec<(Vec<Best>, usize)> = Vec::with_capacity(parts);
+    if threads > 1 && !reps.is_empty() {
         let screen_partition = &screen_partition;
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..parts)
@@ -647,43 +860,48 @@ fn screen_pending_partitioned(
         per_part.extend((0..parts).map(screen_partition));
     }
 
-    // Serial pre-commit merge: winner rule across partitions, per job;
+    // Serial pre-commit merge: winner rule across partitions, per cluster;
     // compilation-resolved screens seed their slots directly.
-    let mut screens: Vec<Option<(f64, SlotId)>> = plans
+    let mut screens: Vec<Best> = plans
         .iter()
         .map(|plan| match plan {
             ScreenPlan::Resolved(r) => *r,
             _ => None,
         })
         .collect();
-    for part in per_part {
+    for (part, n) in per_part {
+        evals += n;
         for (best, merged) in part.into_iter().zip(screens.iter_mut()) {
-            *merged = match (*merged, best) {
-                (None, b) => b,
-                (a, None) => a,
-                (Some((ra, sa)), Some((rb, sb))) => {
-                    if rb > ra || (rb == ra && sb < sa) {
-                        Some((rb, sb))
-                    } else {
-                        Some((ra, sa))
-                    }
-                }
-            };
+            *merged = better(*merged, best);
         }
     }
-    screens
+    (screens, evals)
 }
 
-/// One job's screen: certificate holders re-rank only the slots dirtied
-/// since their certificate — or their own narrowing prefilter when that is
-/// provably smaller (see [`stale_narrow_plan`]); everyone else scans the
-/// pool through the narrowest index.
+/// The winner rule over two candidates: higher rank, ties to the lower
+/// slot id; an absent candidate loses. A total order, so folding it over
+/// any partition of a candidate set yields the set's winner.
+fn better(a: Best, b: Best) -> Best {
+    match (a, b) {
+        (Some((ra, sa)), Some((rb, sb))) if rb > ra || (rb == ra && sb < sa) => b,
+        (None, b) => b,
+        (a, _) => a,
+    }
+}
+
+/// One cluster's screen: with a certificate `cert` (the newest among its
+/// members), re-rank only the slots dirtied since — or the cluster's own
+/// narrowing prefilter when that is provably smaller (see
+/// [`stale_narrow_plan`]); without one, scan the pool through the
+/// narrowest index.
 fn screen_job(
     job: &QueuedJob,
+    cert: Option<u64>,
     collector: &Collector,
     scratch: &mut Vec<SlotId>,
-) -> Option<(f64, SlotId)> {
-    match job.eval_seq() {
+    evals: &mut usize,
+) -> Best {
+    match cert {
         Some(seq) => {
             if collector.max_watermark() <= seq {
                 // Nothing has been dirtied since the certificate; it still
@@ -691,16 +909,17 @@ fn screen_job(
                 return None;
             }
             match stale_narrow_plan(job.compiled(), collector) {
-                Some(plan) => screen_narrow(job, collector, &plan),
+                Some(plan) => screen_narrow(job, collector, &plan, evals),
                 None => best_among(
                     &job.ad,
                     job.compiled(),
                     collector,
                     collector.dirty_since(seq),
+                    evals,
                 ),
             }
         }
-        None => best_slot(&job.ad, job.compiled(), collector, scratch),
+        None => best_slot(&job.ad, job.compiled(), collector, scratch, evals),
     }
 }
 
@@ -710,18 +929,19 @@ fn screen_narrow(
     job: &QueuedJob,
     collector: &Collector,
     plan: &ScreenPlan,
-) -> Option<(f64, SlotId)> {
+    evals: &mut usize,
+) -> Best {
+    let (ad, req) = (&job.ad, job.compiled());
     match plan {
         ScreenPlan::Never => None,
-        ScreenPlan::Name(slot) => best_among(&job.ad, job.compiled(), collector, *slot),
-        ScreenPlan::Machine(slots) => {
-            best_among(&job.ad, job.compiled(), collector, slots.iter().copied())
-        }
+        ScreenPlan::Name(slot) => best_among(ad, req, collector, *slot, evals),
+        ScreenPlan::Machine(slots) => best_among(ad, req, collector, slots.iter().copied(), evals),
         ScreenPlan::Guard(idx, bound) => best_among(
-            &job.ad,
-            job.compiled(),
+            ad,
+            req,
             collector,
             collector.indexed_range_at_least(*idx, *bound),
+            evals,
         ),
         ScreenPlan::Dirty(_) | ScreenPlan::Scan | ScreenPlan::Resolved(_) => {
             unreachable!("stale_narrow_plan only produces narrow plans")
@@ -768,7 +988,8 @@ fn best_slot(
     req: &CompiledReq,
     collector: &Collector,
     scratch: &mut Vec<SlotId>,
-) -> Option<(f64, SlotId)> {
+    evals: &mut usize,
+) -> Best {
     if req.is_never() {
         return None;
     }
@@ -787,7 +1008,7 @@ fn best_slot(
     } else {
         scratch.extend(collector.unclaimed_iter());
     }
-    best_among(job_ad, req, collector, scratch.iter().copied())
+    best_among(job_ad, req, collector, scratch.iter().copied(), evals)
 }
 
 /// The narrowest registered guard index covering one of the requirement's
@@ -830,19 +1051,21 @@ fn pick_guard_index(req: &CompiledReq, collector: &Collector) -> Option<(usize, 
 /// the winner: highest rank, ties to the lowest slot id. The rule is a
 /// total order over admitted slots, so the result is independent of the
 /// candidate enumeration order — any superset of the true admitters yields
-/// the same winner.
+/// the same winner. Adds the candidates visited to `evals`.
 fn best_among(
     job_ad: &ClassAd,
     req: &CompiledReq,
     collector: &Collector,
     candidates: impl IntoIterator<Item = SlotId>,
-) -> Option<(f64, SlotId)> {
+    evals: &mut usize,
+) -> Best {
     if req.is_never() {
         return None;
     }
     let rank_expr = job_ad.parsed_expr(attrs::lc::RANK);
-    let mut best: Option<(f64, SlotId)> = None;
+    let mut best: Best = None;
     for slot in candidates {
+        *evals += 1;
         let status = collector.get(slot).expect("candidate slot exists");
         if status.claimed || !req.matches_target(job_ad, &status.ad) {
             continue;
@@ -857,13 +1080,7 @@ fn best_among(
             None => 0.0,
             Some(e) => eval(e, job_ad, Some(&status.ad)).as_f64().unwrap_or(0.0),
         };
-        let better = match best {
-            None => true,
-            Some((r, s)) => rank > r || (rank == r && slot < s),
-        };
-        if better {
-            best = Some((rank, slot));
-        }
+        best = better(best, Some((rank, slot)));
     }
     best
 }
@@ -1272,7 +1489,9 @@ mod tests {
                 let ad = if i % 3 == 0 {
                     exclusive_job_ad(&spec(i, 1000, 240))
                 } else {
-                    sharing_job_ad(&spec(i, 500 + (i % 7) * 900, 60))
+                    // Distinct memory requests: one autocluster each, so
+                    // there are enough screens to fan out.
+                    sharing_job_ad(&spec(i, 500 + i * 100, 60))
                 };
                 q.submit(JobId(i), ad, SimTime::ZERO).unwrap();
             }
@@ -1280,13 +1499,14 @@ mod tests {
         };
         let (mut q_serial, mut c_serial) = build();
         let (mut q_sharded, mut c_sharded) = build();
-        let serial = Negotiator::default()
+        let (sm, ss, sw) = Negotiator::default()
             .with_shards(1)
-            .negotiate_delta_with_stats(&mut q_serial, &mut c_serial);
-        let sharded = Negotiator::default()
+            .negotiate_with_work(&mut q_serial, &mut c_serial);
+        let (hm, hs, hw) = Negotiator::default()
             .with_shards(5)
-            .negotiate_delta_with_stats(&mut q_sharded, &mut c_sharded);
-        assert_eq!(serial, sharded);
+            .negotiate_with_work(&mut q_sharded, &mut c_sharded);
+        assert!(sw.screens >= PAR_SCREEN_MIN, "{sw:?}");
+        assert_eq!((sm, ss, sw), (hm, hs, hw));
         assert_eq!(c_serial, c_sharded);
         assert_eq!(q_serial.pending(), q_sharded.pending());
     }
@@ -1462,6 +1682,63 @@ mod tests {
         q.qedit_value(JobId(0), attrs::REQUEST_PHI_MEMORY, 100u64)
             .unwrap();
         assert!(!Negotiator::cycle_is_quiescent(&q, &c));
+    }
+
+    /// The MC backlog pathology, pinned by work counters: a 500-job
+    /// single-class exclusive backlog behind 64 one-card nodes × 16 slots,
+    /// five nodes freed per cycle. Before autoclusters every certified
+    /// backlog job re-ranked the whole cycle's dirt and then fell back to a
+    /// rescan; now the cluster screens once and later members reuse its
+    /// memo, so the delta path never evaluates more slots than the full
+    /// rematch — on any machine, since the counts are deterministic.
+    #[test]
+    fn single_class_backlog_costs_no_more_slot_evaluations_than_full() {
+        let build = || {
+            let mut q = JobQueue::new();
+            for i in 0..500 {
+                let spec = spec(i, 500 + (i % 7) * 700, 60 + (i % 5) as u32 * 60);
+                q.submit(JobId(i), exclusive_job_ad(&spec), SimTime::ZERO)
+                    .unwrap();
+            }
+            (q, cluster(64, 16))
+        };
+        let (mut q_delta, mut c_delta) = build();
+        let (mut q_full, mut c_full) = build();
+        let delta = Negotiator::default().with_path(MatchPath::Delta);
+        let full = Negotiator::default().with_path(MatchPath::Full);
+        let mut running: std::collections::VecDeque<Match> = Default::default();
+        let (mut delta_work, mut full_work) = (CycleWork::default(), CycleWork::default());
+        for cycle in 0..20 {
+            let (dm, ds, dw) = delta.negotiate_with_work(&mut q_delta, &mut c_delta);
+            let (fm, fs, fw) = full.negotiate_with_work(&mut q_full, &mut c_full);
+            assert_eq!((&dm, ds), (&fm, fs), "cycle {cycle}");
+            assert_eq!(c_delta, c_full, "cycle {cycle}");
+            assert_eq!(dw.autoclusters, 1, "one job class");
+            delta_work.screen_evals += dw.screen_evals;
+            delta_work.commit_evals += dw.commit_evals;
+            delta_work.memo_hits += dw.memo_hits;
+            delta_work.fallbacks += dw.fallbacks;
+            full_work.commit_evals += fw.commit_evals;
+            full_work.fallbacks += fw.fallbacks;
+            running.extend(dm);
+            // Five jobs finish: their cards come back.
+            for done in running.drain(..5) {
+                for c in [&mut c_delta, &mut c_full] {
+                    c.release(done.slot);
+                    for slot in c.node_slots(done.slot.node) {
+                        c.refresh_phi_availability(slot, 7680, 1);
+                    }
+                }
+            }
+        }
+        assert!(
+            delta_work.screen_evals + delta_work.commit_evals <= full_work.commit_evals,
+            "delta {delta_work:?} vs full {full_work:?}"
+        );
+        // The backlog rides the memo: only the few matching members per
+        // cycle rescan, everyone behind them answers in O(1).
+        assert!(delta_work.fallbacks * 10 < full_work.fallbacks);
+        assert!(delta_work.memo_hits > 19 * 400);
     }
 
     #[test]

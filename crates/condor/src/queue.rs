@@ -1,11 +1,14 @@
 //! The schedd's job queue.
 
+use crate::attrs;
 use crate::collector::SlotId;
+use phishare_classad::ast::Scope;
 use phishare_classad::parser::ParseError;
 use phishare_classad::{ClassAd, CompiledReq, Value};
 use phishare_sim::SimTime;
 use phishare_workload::JobId;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::fmt::Write;
 
 /// Lifecycle of a queued job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -68,6 +71,10 @@ pub struct QueuedJob {
     /// every entry into `Idle` (conservative; a fresh arrival in the pool
     /// has never been evaluated at all).
     eval_seq: Option<u64>,
+    /// Interned autocluster id (see `JobQueue::autocluster_key`): jobs
+    /// with equal ids evaluate identically against every slot ad on the
+    /// job side of the match. Re-interned on every qedit.
+    autocluster: u32,
 }
 
 impl QueuedJob {
@@ -81,6 +88,12 @@ impl QueuedJob {
     /// docs — this is what the negotiator's delta path keys on).
     pub fn eval_seq(&self) -> Option<u64> {
         self.eval_seq
+    }
+
+    /// The job's interned autocluster id: equal for jobs whose
+    /// `Requirements`, `Rank` and the job attributes those read are equal.
+    pub fn autocluster(&self) -> u32 {
+        self.autocluster
     }
 }
 
@@ -117,6 +130,12 @@ pub struct JobQueue {
     /// partitions the idle pool: `idle.len() == idle_uncertified +
     /// certs.len()` always.
     idle_uncertified: usize,
+    /// Jobs currently `Matched` and `Running`; with `idle`/`held` these
+    /// make [`JobQueue::active_counts`] O(1).
+    matched: usize,
+    running: usize,
+    /// Autocluster key → interned id, in first-seen order.
+    autoclusters: HashMap<String, u32>,
     /// Next queue position to hand out (see the struct docs).
     next_pos: usize,
 }
@@ -182,6 +201,7 @@ impl JobQueue {
             return Err(QueueError::Duplicate(id));
         }
         let compiled = CompiledReq::compile(&ad);
+        let autocluster = self.intern_autocluster(Self::autocluster_key(&ad));
         let pos = self.next_pos;
         self.next_pos += 1;
         self.jobs.insert(
@@ -194,6 +214,7 @@ impl JobQueue {
                 compiled,
                 pos,
                 eval_seq: None,
+                autocluster,
             },
         );
         self.fifo.push(id);
@@ -253,7 +274,7 @@ impl JobQueue {
             .insert_expr(attr, expr)
             .map_err(QueueError::BadExpression)?;
         job.compiled = CompiledReq::compile(&job.ad);
-        self.drop_certificate(id);
+        self.after_qedit(id);
         Ok(())
     }
 
@@ -267,14 +288,56 @@ impl JobQueue {
         let job = self.jobs.get_mut(&id).ok_or(QueueError::Unknown(id))?;
         job.ad.insert(attr, value);
         job.compiled = CompiledReq::compile(&job.ad);
-        self.drop_certificate(id);
+        self.after_qedit(id);
         Ok(())
     }
 
-    /// Invalidate `id`'s unmatched certificate (after a qedit), keeping the
-    /// certificate index in step when the job is idle.
-    fn drop_certificate(&mut self, id: JobId) {
+    /// The autocluster key of a job ad: the source of its `Requirements`
+    /// and `Rank` plus the value — or absence — of every attribute those
+    /// expressions can read from the job ad (`MY.x` and bare `x`; bare
+    /// names resolve MY-first, so an absent one is part of the key too).
+    /// Everything else — `ClusterId`, `RequestPhiThreads`, the commit-side
+    /// resource requests — is not significant: the compiled requirement,
+    /// its residual and the rank are pure functions of the key, so two
+    /// jobs with equal keys admit and rank every slot ad identically on
+    /// the job side. (The slot side — slot ads with their own
+    /// `Requirements` reading job attributes — widens the key per cycle in
+    /// the negotiator.) Every value prints through `Debug`, which
+    /// round-trips floats and quotes strings, so unequal inputs never
+    /// collide.
+    fn autocluster_key(ad: &ClassAd) -> String {
+        let mut key = String::new();
+        let mut refs: Vec<String> = Vec::new();
+        for attr in [attrs::lc::REQUIREMENTS, attrs::lc::RANK] {
+            let _ = write!(key, "{:?};", ad.get_expr(attr));
+            if let Some(e) = ad.parsed_expr(attr) {
+                e.for_each_attr_ref(&mut |scope, name| {
+                    if scope != Some(Scope::Target) {
+                        refs.push(name.to_ascii_lowercase());
+                    }
+                });
+            }
+        }
+        refs.sort_unstable();
+        refs.dedup();
+        for name in &refs {
+            let _ = write!(key, "{name:?}={:?};", ad.get(name));
+        }
+        key
+    }
+
+    fn intern_autocluster(&mut self, key: String) -> u32 {
+        let next = u32::try_from(self.autoclusters.len()).expect("under 2^32 autoclusters");
+        *self.autoclusters.entry(key).or_insert(next)
+    }
+
+    /// Re-intern `id`'s autocluster and invalidate its unmatched
+    /// certificate after a qedit changed its ad.
+    fn after_qedit(&mut self, id: JobId) {
+        let key = Self::autocluster_key(&self.jobs[&id].ad);
+        let autocluster = self.intern_autocluster(key);
         let job = self.jobs.get_mut(&id).expect("caller looked the job up");
+        job.autocluster = autocluster;
         if let Some(old) = job.eval_seq.take() {
             if job.state.is_idle() {
                 self.certs.remove(&(old, id));
@@ -344,8 +407,22 @@ impl JobQueue {
         self.idle.iter().map(|&(_, id)| id).collect()
     }
 
-    /// Number of jobs in each non-terminal state `(idle, matched, running)`.
+    /// Number of jobs in each non-terminal state `(idle, matched, running)`,
+    /// where `idle` counts held jobs too. O(1): every transition keeps the
+    /// per-state counts current.
     pub fn active_counts(&self) -> (usize, usize, usize) {
+        let counts = (
+            self.idle.len() + self.held.len(),
+            self.matched,
+            self.running,
+        );
+        debug_assert_eq!(counts, self.active_counts_walk());
+        counts
+    }
+
+    /// [`JobQueue::active_counts`] by walking every job — the reference
+    /// the maintained counts are checked against in debug builds.
+    fn active_counts_walk(&self) -> (usize, usize, usize) {
         let mut idle = 0;
         let mut matched = 0;
         let mut running = 0;
@@ -443,6 +520,8 @@ impl JobQueue {
                     JobState::Held => {
                         self.held.remove(&(old_pos, id));
                     }
+                    JobState::Matched(_) => self.matched -= 1,
+                    JobState::Running(_) => self.running -= 1,
                     _ => {}
                 }
                 match next {
@@ -453,6 +532,8 @@ impl JobQueue {
                     JobState::Held => {
                         self.held.insert((pos, id));
                     }
+                    JobState::Matched(_) => self.matched += 1,
+                    JobState::Running(_) => self.running += 1,
                     _ => {}
                 }
                 Ok(())
@@ -749,6 +830,55 @@ mod tests {
     }
 
     #[test]
+    fn autoclusters_key_on_significant_attributes_only() {
+        let ad = |mem: i64, threads: i64, id: i64| {
+            let mut ad = ClassAd::new();
+            ad.insert("ClusterId", id);
+            ad.insert("RequestPhiMemory", mem);
+            ad.insert("RequestPhiThreads", threads);
+            ad.insert_expr(
+                "Requirements",
+                "TARGET.PhiFreeMemory >= MY.RequestPhiMemory",
+            )
+            .unwrap();
+            ad
+        };
+        let mut q = JobQueue::new();
+        q.submit(JobId(0), ad(1000, 60, 0), SimTime::ZERO).unwrap();
+        q.submit(JobId(1), ad(1000, 240, 1), SimTime::ZERO).unwrap();
+        q.submit(JobId(2), ad(2000, 60, 2), SimTime::ZERO).unwrap();
+        let cluster = |q: &JobQueue, i: u64| q.get(JobId(i)).unwrap().autocluster();
+        // ClusterId and RequestPhiThreads are not significant; the memory
+        // the requirement reads is.
+        assert_eq!(cluster(&q, 0), cluster(&q, 1));
+        assert_ne!(cluster(&q, 0), cluster(&q, 2));
+        // A value qedit moves a job between clusters...
+        q.qedit_value(JobId(2), "RequestPhiMemory", 1000u64)
+            .unwrap();
+        assert_eq!(cluster(&q, 2), cluster(&q, 0));
+        // ...and so does a Rank, including the MY attributes it reads.
+        q.qedit_expr(JobId(1), "Rank", "MY.RequestPhiThreads")
+            .unwrap();
+        assert_ne!(cluster(&q, 1), cluster(&q, 0));
+        q.qedit_expr(JobId(2), "Rank", "MY.RequestPhiThreads")
+            .unwrap();
+        assert_ne!(cluster(&q, 2), cluster(&q, 1), "threads differ: 60 vs 240");
+        // A bare name resolves MY-first: defining it is significant.
+        let bare = |extra: Option<i64>| {
+            let mut ad = ClassAd::new();
+            if let Some(v) = extra {
+                ad.insert("Floor", v);
+            }
+            ad.insert_expr("Requirements", "TARGET.PhiFreeMemory >= Floor")
+                .unwrap();
+            JobQueue::autocluster_key(&ad)
+        };
+        assert_ne!(bare(None), bare(Some(5)));
+        assert_ne!(bare(Some(5)), bare(Some(6)));
+        assert_eq!(bare(Some(5)), bare(Some(5)));
+    }
+
+    #[test]
     fn counts_track_states() {
         let mut q = queue_with(3);
         q.set_matched(JobId(0), slot(1, 1)).unwrap();
@@ -756,5 +886,12 @@ mod tests {
         q.set_running(JobId(1)).unwrap();
         assert_eq!(q.active_counts(), (1, 1, 1));
         assert!(!q.all_terminal());
+        // Held jobs count as idle; terminal jobs drop out.
+        q.hold(JobId(2)).unwrap();
+        q.set_completed(JobId(1)).unwrap();
+        q.requeue(JobId(0)).unwrap();
+        assert_eq!(q.active_counts(), (2, 0, 0));
+        q.set_removed(JobId(0)).unwrap();
+        assert_eq!(q.active_counts(), (1, 0, 0));
     }
 }

@@ -551,3 +551,322 @@ fn same_cycle_coherence_holds_for_arbitrary_guard_indexed_attrs() {
         );
     }
 }
+
+// --- Clustered churn ----------------------------------------------------
+//
+// The delta path screens once per *autocluster* (jobs whose significant
+// attributes are equal) and lets later FIFO members reuse the cluster's
+// memo. These properties drive deep same-class backlogs through churn that
+// attacks each part of the key: non-significant attributes that must not
+// split a cluster, a `Rank` over a `MY.` attribute that must, slot ads
+// whose own `Requirements` read a job attribute (the key must widen), and
+// qedits that move jobs between clusters mid-run.
+
+/// A few job classes; many jobs per class differ only in non-significant
+/// attributes (`ClusterId`, `RequestPhiThreads`).
+#[derive(Debug, Clone, Copy)]
+enum Class {
+    /// MC-style exclusive card request.
+    Exclusive,
+    /// Sharing request for `mem` MB.
+    Sharing(i64),
+    /// Sharing request ranked by free memory times `MY.RankWeight`: +1
+    /// prefers the emptiest node, -1 the fullest.
+    Ranked(i64),
+    /// Plain `PhiDevices >= 1` job carrying a `Tier` that only guarded
+    /// slot ads read.
+    Tiered(i64),
+}
+
+fn arb_class() -> impl Strategy<Value = Class> {
+    prop_oneof![
+        Just(Class::Exclusive),
+        prop_oneof![Just(512i64), Just(3000)].prop_map(Class::Sharing),
+        prop_oneof![Just(1i64), Just(-1)].prop_map(Class::Ranked),
+        (1i64..=2).prop_map(Class::Tiered),
+    ]
+}
+
+fn class_ad(class: Class, id: u64) -> phishare_classad::ClassAd {
+    let mut ad = phishare_classad::ClassAd::new();
+    ad.insert(attrs::JOB_ID, id);
+    ad.insert(attrs::REQUEST_PHI_THREADS, 60 * (1 + id % 4));
+    ad.insert(attrs::REQUEST_EXCLUSIVE_PHI, false);
+    ad.insert(attrs::REQUEST_PHI_MEMORY, 512i64);
+    match class {
+        Class::Exclusive => {
+            ad.insert(attrs::REQUEST_EXCLUSIVE_PHI, true);
+            ad.insert_expr(REQUIREMENTS, "TARGET.PhiDevicesFree >= 1")
+                .unwrap();
+        }
+        Class::Sharing(mem) => {
+            ad.insert(attrs::REQUEST_PHI_MEMORY, mem);
+            ad.insert_expr(
+                REQUIREMENTS,
+                "TARGET.PhiDevices >= 1 && TARGET.PhiFreeMemory >= MY.RequestPhiMemory",
+            )
+            .unwrap();
+        }
+        Class::Ranked(weight) => {
+            ad.insert("RankWeight", weight);
+            ad.insert_expr(REQUIREMENTS, "TARGET.PhiFreeMemory >= MY.RequestPhiMemory")
+                .unwrap();
+            ad.insert_expr(RANK, "TARGET.PhiFreeMemory * MY.RankWeight")
+                .unwrap();
+        }
+        Class::Tiered(tier) => {
+            ad.insert("Tier", tier);
+            ad.insert_expr(REQUIREMENTS, "TARGET.PhiDevices >= 1")
+                .unwrap();
+        }
+    }
+    ad
+}
+
+/// A slot ad; `guarded` ones refuse tier-1 jobs through their own
+/// `Requirements` — scoped on odd nodes, bare (falling through to the job
+/// as TARGET) on even ones.
+fn clustered_slot_ad(id: SlotId, mem: i64, guarded: bool) -> phishare_classad::ClassAd {
+    let node = format!("node{}", id.node);
+    let mut ad = attrs::machine_ad(&id.name(), &node, 1, 8192, mem as u64, 1);
+    if guarded {
+        let req = if id.node % 2 == 1 {
+            "TARGET.Tier =!= 1"
+        } else {
+            "Tier =!= 1"
+        };
+        ad.insert_expr(REQUIREMENTS, req).unwrap();
+    }
+    ad
+}
+
+#[derive(Debug, Clone)]
+enum ClusterOp {
+    /// Release the i-th claimed slot and refresh its node to full.
+    Release(usize),
+    /// (Re)advertise a node's two slots, optionally guarded.
+    Advertise { node: u32, mem: i64, guarded: bool },
+    /// Node loss.
+    Invalidate(u32),
+    /// Move the i-th pending job to another tier (widened-key move).
+    QeditTier { job: usize, tier: i64 },
+    /// Flip the i-th pending job's rank weight (base-key move for ranked
+    /// jobs, a non-significant edit for the rest).
+    QeditWeight { job: usize, weight: i64 },
+    /// Rewrite the i-th pending job's thread request (never significant).
+    QeditThreads { job: usize },
+    /// A burst of same-class arrivals.
+    Submit(Class, usize),
+}
+
+fn arb_cluster_op() -> impl Strategy<Value = ClusterOp> {
+    let mem = prop_oneof![Just(1024i64), Just(7680)];
+    prop_oneof![
+        (0usize..16).prop_map(ClusterOp::Release),
+        (1u32..=4, mem, any::<bool>()).prop_map(|(node, mem, guarded)| ClusterOp::Advertise {
+            node,
+            mem,
+            guarded
+        }),
+        (1u32..=4).prop_map(ClusterOp::Invalidate),
+        (0usize..40, 1i64..=2).prop_map(|(job, tier)| ClusterOp::QeditTier { job, tier }),
+        (0usize..40, prop_oneof![Just(1i64), Just(-1)])
+            .prop_map(|(job, weight)| ClusterOp::QeditWeight { job, weight }),
+        (0usize..40).prop_map(|job| ClusterOp::QeditThreads { job }),
+        (arb_class(), 1usize..=6).prop_map(|(c, n)| ClusterOp::Submit(c, n)),
+    ]
+}
+
+fn apply_cluster_op(
+    op: &ClusterOp,
+    queue: &mut JobQueue,
+    collector: &mut Collector,
+    next_id: &mut u64,
+) {
+    let pick = |queue: &JobQueue, i: usize| {
+        let ids = queue.pending();
+        (!ids.is_empty()).then(|| ids[i % ids.len()])
+    };
+    match op {
+        ClusterOp::Release(i) => {
+            let claimed: Vec<SlotId> = collector
+                .slots()
+                .filter(|(_, s)| s.claimed)
+                .map(|(id, _)| *id)
+                .collect();
+            if !claimed.is_empty() {
+                let slot = claimed[i % claimed.len()];
+                collector.release(slot);
+                for s in collector.node_slots(slot.node) {
+                    collector.refresh_phi_availability(s, 7680, 1);
+                }
+            }
+        }
+        ClusterOp::Advertise { node, mem, guarded } => {
+            for s in 1..=2u32 {
+                let id = SlotId {
+                    node: *node,
+                    slot: s,
+                };
+                collector.advertise(id, clustered_slot_ad(id, *mem, *guarded));
+            }
+        }
+        ClusterOp::Invalidate(node) => {
+            collector.invalidate_node(*node);
+        }
+        ClusterOp::QeditTier { job, tier } => {
+            if let Some(id) = pick(queue, *job) {
+                queue.qedit_value(id, "Tier", *tier).unwrap();
+            }
+        }
+        ClusterOp::QeditWeight { job, weight } => {
+            if let Some(id) = pick(queue, *job) {
+                queue.qedit_value(id, "RankWeight", *weight).unwrap();
+            }
+        }
+        ClusterOp::QeditThreads { job } => {
+            if let Some(id) = pick(queue, *job) {
+                queue
+                    .qedit_value(id, attrs::REQUEST_PHI_THREADS, 240u64)
+                    .unwrap();
+            }
+        }
+        ClusterOp::Submit(class, n) => {
+            for _ in 0..*n {
+                queue
+                    .submit(JobId(*next_id), class_ad(*class, *next_id), SimTime::ZERO)
+                    .unwrap();
+                *next_id += 1;
+            }
+        }
+    }
+}
+
+/// One clustered scenario's starting state on a `parts`-partitioned pool:
+/// 4 nodes × 2 slots (`guarded` marks nodes whose slot ads carry their own
+/// requirements) and a deep FIFO backlog from `classes`.
+fn build_clustered(
+    guarded: &[bool],
+    classes: &[(Class, usize)],
+    parts: usize,
+) -> (JobQueue, Collector, u64) {
+    let mut collector = Collector::with_partitions(parts);
+    for (n, &g) in guarded.iter().enumerate() {
+        for s in 1..=2u32 {
+            let id = SlotId {
+                node: n as u32 + 1,
+                slot: s,
+            };
+            collector.advertise(id, clustered_slot_ad(id, 7680, g));
+        }
+    }
+    let mut queue = JobQueue::new();
+    let mut next_id = 0u64;
+    // Interleave the classes round-robin so clusters alternate in FIFO
+    // order and every memo sees foreign commits between its members.
+    let mut left: Vec<(Class, usize)> = classes.to_vec();
+    while left.iter().any(|&(_, n)| n > 0) {
+        for (class, n) in left.iter_mut().filter(|(_, n)| *n > 0) {
+            queue
+                .submit(JobId(next_id), class_ad(*class, next_id), SimTime::ZERO)
+                .unwrap();
+            next_id += 1;
+            *n -= 1;
+        }
+    }
+    (queue, collector, next_id)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Deep same-class backlogs under clustered churn: the delta path
+    /// (P = 1, 2, 3, 8) stays bit-identical to the full rematch and the
+    /// naive evaluator in every cycle — matches in order, stats, final
+    /// collector, pending set and per-state counts.
+    #[test]
+    fn clustered_churn_is_oracle_identical_and_partition_invariant(
+        guarded in prop::collection::vec(any::<bool>(), 4),
+        classes in prop::collection::vec((arb_class(), 1usize..=12), 1..=4),
+        rounds in prop::collection::vec(prop::collection::vec(arb_cluster_op(), 0..=5), 1..=5),
+    ) {
+        const PARTS: [usize; 4] = [1, 2, 3, 8];
+        let negotiator = Negotiator::default();
+        // Twins: delta at every partition count, then full and naive.
+        let mut twins: Vec<(JobQueue, Collector, u64)> = PARTS
+            .iter()
+            .chain([1, 1].iter())
+            .map(|&p| build_clustered(&guarded, &classes, p))
+            .collect();
+        let oracle = PARTS.len();
+        for (r, ops) in rounds.iter().enumerate() {
+            let mut outcomes = Vec::new();
+            for (t, (queue, collector, next_id)) in twins.iter_mut().enumerate() {
+                for op in ops {
+                    apply_cluster_op(op, queue, collector, next_id);
+                }
+                outcomes.push(match t {
+                    t if t < oracle => negotiator.negotiate_delta_with_stats(queue, collector),
+                    t if t == oracle => negotiator.negotiate_full_with_stats(queue, collector),
+                    _ => negotiator.negotiate_naive_with_stats(queue, collector),
+                });
+            }
+            for t in 1..twins.len() {
+                prop_assert_eq!(&outcomes[0], &outcomes[t], "round {} twin {}", r, t);
+                prop_assert_eq!(&twins[0].1, &twins[t].1, "round {} twin {} collector", r, t);
+                prop_assert_eq!(
+                    twins[0].0.pending(), twins[t].0.pending(),
+                    "round {} twin {} pending", r, t
+                );
+                prop_assert_eq!(twins[0].0.active_counts(), twins[t].0.active_counts());
+            }
+        }
+    }
+}
+
+/// The widened key is load-bearing: two tier classes share a base
+/// autocluster (the job's own expressions never read `Tier`), but a slot
+/// ad that refuses tier 1 must split them. A delta path that kept the
+/// base key would hand the tier-2 job the tier-1 job's "nothing admits"
+/// memo and leave it unmatched.
+#[test]
+fn slot_requirements_widen_the_autocluster_key() {
+    let build = || {
+        let mut collector = Collector::new();
+        let id = SlotId { node: 1, slot: 1 };
+        collector.advertise(id, clustered_slot_ad(id, 7680, true));
+        let mut queue = JobQueue::new();
+        queue
+            .submit(JobId(0), class_ad(Class::Tiered(1), 0), SimTime::ZERO)
+            .unwrap();
+        queue
+            .submit(JobId(1), class_ad(Class::Tiered(2), 1), SimTime::ZERO)
+            .unwrap();
+        (queue, collector)
+    };
+    let (q, c) = build();
+    assert_eq!(
+        q.get(JobId(0)).unwrap().autocluster(),
+        q.get(JobId(1)).unwrap().autocluster(),
+        "same base key"
+    );
+    assert_eq!(c.slot_job_refs().collect::<Vec<_>>(), vec!["tier"]);
+    for path in [
+        phishare_condor::MatchPath::Delta,
+        phishare_condor::MatchPath::Full,
+    ] {
+        let (mut q, mut c) = build();
+        let (matches, stats, work) = Negotiator::default()
+            .with_path(path)
+            .negotiate_with_work(&mut q, &mut c);
+        assert_eq!(
+            matches.iter().map(|m| m.job).collect::<Vec<_>>(),
+            vec![JobId(1)],
+            "{path:?}"
+        );
+        assert_eq!(stats.unmatched, 1);
+        if path == phishare_condor::MatchPath::Delta {
+            assert_eq!(work.autoclusters, 2, "the guarded slot splits the tiers");
+        }
+    }
+}

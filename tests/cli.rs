@@ -108,6 +108,27 @@ fn errors_are_reported_not_panicked() {
 }
 
 #[test]
+fn oversized_perturbations_are_rejected_not_panicked() {
+    // A latency extra this large used to pass validation and then overflow
+    // the simulation clock mid-run.
+    let out = phishare(&[
+        "run",
+        "--policy",
+        "mc",
+        "--jobs",
+        "10",
+        "--nodes",
+        "2",
+        "--perturb",
+        "latency:1:1:99999999999999999999",
+    ]);
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("latency.extra_secs"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+#[test]
 fn help_prints_usage() {
     let out = phishare(&["help"]);
     assert!(out.status.success());
