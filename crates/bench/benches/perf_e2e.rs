@@ -2,9 +2,9 @@
 //!
 //! Runs a figure-scale sweep (3 policies × 3 synthetic distributions ×
 //! 3 seeds, 8-node cells) twice through the same parallel sweep harness:
-//! once on the slab-indexed substrate fast path with per-worker scratch
-//! recycling (`run_sweep`), once on the seed's map-keyed substrate
-//! (`run_sweep_keyed` — `BTreeMap` lookups per event, Vec-allocating
+//! once on the slab-indexed substrate fast path (`run_sweep`), once on
+//! the seed's map-keyed substrate (`run_sweep_with` on
+//! `SubstrateMode::Keyed` — `BTreeMap` lookups per event, Vec-allocating
 //! completion scans, aggregates recomputed by iteration). The keyed sweep
 //! is the honest pre-optimization cost floor; the fast sweep must beat it
 //! by ≥ 1.5× while staying **pin-for-pin identical** across every cell.
@@ -26,7 +26,7 @@
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use phishare_bench::{banner, persist_json, GateKnobs, EXPERIMENT_SEED, SYNTHETIC_JOBS};
 use phishare_cluster::{
-    run_sweep, run_sweep_keyed, ClusterConfig, Experiment, SubstrateMode, SweepJob,
+    run_sweep, run_sweep_with, ClusterConfig, Experiment, RunOptions, SubstrateMode, SweepJob,
 };
 use phishare_core::ClusterPolicy;
 use phishare_sim::SimDuration;
@@ -176,7 +176,7 @@ fn gate() -> E2eBench {
     // Sanity first: every cell must agree pin-for-pin across substrates
     // before timing means anything.
     let fast = run_sweep(grid(&wls), threads);
-    let keyed = run_sweep_keyed(grid(&wls), threads);
+    let keyed = run_sweep_with(grid(&wls), threads, SubstrateMode::Keyed);
     assert_eq!(fast.len(), keyed.len());
     for ((fl, fr), (kl, kr)) in fast.iter().zip(keyed.iter()) {
         assert_eq!(fl, kl, "cell order diverged");
@@ -209,7 +209,7 @@ fn gate() -> E2eBench {
     let keyed_runs = 2;
     let fast_runs = 3;
     let keyed_ms = time_runs(keyed_runs, || {
-        black_box(run_sweep_keyed(grid(&wls), threads));
+        black_box(run_sweep_with(grid(&wls), threads, SubstrateMode::Keyed));
     });
     let fast_ms = time_runs(fast_runs, || {
         black_box(run_sweep(grid(&wls), threads));
@@ -252,18 +252,16 @@ fn gate() -> E2eBench {
 fn bench_substrates(c: &mut Criterion) {
     let wl = gate_workload(ResourceDist::Uniform, 200, EXPERIMENT_SEED);
     let cfg = gate_config(ClusterPolicy::Mcck);
+    let keyed = RunOptions {
+        substrate: SubstrateMode::Keyed,
+        ..RunOptions::default()
+    };
     let mut group = c.benchmark_group("substrate_run");
     group.sample_size(10);
     group.bench_with_input(
         BenchmarkId::new("keyed", "4n/200j"),
         &(&cfg, &wl),
-        |b, (cfg, wl)| {
-            b.iter(|| {
-                black_box(
-                    Experiment::run_with_substrate(cfg, wl, SubstrateMode::Keyed).expect("runs"),
-                )
-            })
-        },
+        |b, (cfg, wl)| b.iter(|| black_box(Experiment::run_with(cfg, wl, &keyed).expect("runs"))),
     );
     group.bench_with_input(
         BenchmarkId::new("fast", "4n/200j"),
@@ -279,7 +277,7 @@ fn main() {
     banner(
         "perf_e2e",
         "the figure-scale sweeps behind §V (policies × distributions × seeds)",
-        "slab substrate + scratch recycling ≥ 1.5× faster than the keyed substrate, \
+        "slab substrate ≥ 1.5× faster than the keyed substrate, \
          pin-for-pin identical sweeps",
     );
 

@@ -17,7 +17,7 @@ use criterion::{criterion_group, BenchmarkId, Criterion};
 use phishare_bench::{persist_json, GateKnobs};
 use phishare_classad::ad::REQUIREMENTS;
 use phishare_classad::ClassAd;
-use phishare_condor::{attrs, Collector, JobQueue, Negotiator, SlotId};
+use phishare_condor::{attrs, Collector, JobQueue, MatchPath, Negotiator, SlotId};
 use phishare_sim::SimTime;
 use phishare_workload::JobId;
 use serde::Serialize;
@@ -129,9 +129,13 @@ fn gate() -> NegotiationBench {
     let (mut q_fast, mut c_fast) = base.clone();
     let (mut q_naive, mut c_naive) = base.clone();
     let (mut q_delta, mut c_delta) = base.clone();
-    let fast = negotiator.negotiate_full_with_stats(&mut q_fast, &mut c_fast);
+    let fast = negotiator
+        .with_path(MatchPath::Full)
+        .negotiate_with_stats(&mut q_fast, &mut c_fast);
     let naive = negotiator.negotiate_naive_with_stats(&mut q_naive, &mut c_naive);
-    let delta = negotiator.negotiate_delta_with_stats(&mut q_delta, &mut c_delta);
+    let delta = negotiator
+        .with_path(MatchPath::Delta)
+        .negotiate_with_stats(&mut q_delta, &mut c_delta);
     assert_eq!(fast, naive, "fast and naive paths diverged");
     assert_eq!(delta, naive, "delta and naive paths diverged");
     assert_eq!(c_fast, c_naive, "collector states diverged");
@@ -145,8 +149,9 @@ fn gate() -> NegotiationBench {
     let naive_ms = time_cycle(naive_runs, &base, |q, c| {
         black_box(negotiator.negotiate_naive_with_stats(q, c));
     });
+    let full = negotiator.with_path(MatchPath::Full);
     let fast_ms = time_cycle(fast_runs, &base, |q, c| {
-        black_box(negotiator.negotiate_full_with_stats(q, c));
+        black_box(full.negotiate_with_stats(q, c));
     });
 
     NegotiationBench {

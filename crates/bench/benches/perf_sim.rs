@@ -3,9 +3,9 @@
 //! Runs a full 8-node × 1600-job experiment end to end under both event
 //! schemes: the next-completion fast path (`Experiment::run` — one
 //! prediction event per device per generation, lazily drained when stale)
-//! against the retained per-offload scheme (`Experiment::run_naive_events`
-//! — one event per active offload per generation, the pre-optimization
-//! cost model).
+//! against the retained per-offload scheme (`Experiment::run_with` on
+//! `EventMode::PerOffload` — one event per active offload per generation,
+//! the pre-optimization cost model).
 //!
 //! The workload is built to exercise the regime the fast path targets:
 //! small-footprint, offload-dominant jobs with many kernel launches each,
@@ -24,7 +24,7 @@
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use phishare_bench::{banner, persist_json, GateKnobs, EXPERIMENT_SEED};
-use phishare_cluster::{ClusterConfig, Experiment};
+use phishare_cluster::{ClusterConfig, EventMode, Experiment, ExperimentResult, RunOptions};
 use phishare_core::ClusterPolicy;
 use phishare_sim::SimDuration;
 use phishare_workload::{
@@ -37,6 +37,15 @@ use std::time::Instant;
 const NODES: u32 = 8;
 const JOBS: usize = 1600;
 const SPEEDUP_FLOOR: f64 = 2.0;
+
+/// [`Experiment::run`] under the per-offload oracle event scheme.
+fn run_per_offload(cfg: &ClusterConfig, wl: &Workload) -> Result<ExperimentResult, String> {
+    let opts = RunOptions {
+        events: EventMode::PerOffload,
+        ..RunOptions::default()
+    };
+    Experiment::run_with(cfg, wl, &opts).map(|(r, _)| r)
+}
 
 /// Offload-dense synthetic jobs: tiny memory footprints (so MCC's random
 /// cramming stacks devices deep), 92–97% offload duty, and 48–96 kernel
@@ -113,13 +122,13 @@ fn gate() -> SimBench {
 
     // Sanity first: both schemes must agree before timing means anything.
     let fast = Experiment::run(&cfg, &wl).expect("fast-path experiment runs");
-    let naive = Experiment::run_naive_events(&cfg, &wl).expect("naive-event experiment runs");
+    let naive = run_per_offload(&cfg, &wl).expect("naive-event experiment runs");
     assert_eq!(fast, naive, "event schemes diverged on the gate workload");
 
     let naive_runs = 3;
     let fast_runs = 7;
     let naive_ms = time_runs(naive_runs, || {
-        black_box(Experiment::run_naive_events(&cfg, &wl).expect("runs"));
+        black_box(run_per_offload(&cfg, &wl).expect("runs"));
     });
     let fast_ms = time_runs(fast_runs, || {
         black_box(Experiment::run(&cfg, &wl).expect("runs"));
@@ -152,7 +161,7 @@ fn bench_experiments(c: &mut Criterion) {
     group.bench_with_input(
         BenchmarkId::new("naive_events", "4n/400j"),
         &(&cfg, &wl),
-        |b, (cfg, wl)| b.iter(|| black_box(Experiment::run_naive_events(cfg, wl).expect("runs"))),
+        |b, (cfg, wl)| b.iter(|| black_box(run_per_offload(cfg, wl).expect("runs"))),
     );
     group.bench_with_input(
         BenchmarkId::new("next_completion", "4n/400j"),

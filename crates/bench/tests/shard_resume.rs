@@ -10,8 +10,8 @@
 
 use phishare_cluster::shard::{build_manifest, load_manifest, write_manifest};
 use phishare_cluster::{
-    run_sweep, run_sweep_sharded, ClusterConfig, ShardOptions, SubstrateMode, SweepJob,
-    SweepOutcome,
+    run_sweep, run_sweep_sharded, run_sweep_with, ClusterConfig, ShardOptions, SubstrateMode,
+    SweepJob, SweepOutcome,
 };
 use phishare_core::ClusterPolicy;
 use phishare_workload::{Workload, WorkloadBuilder, WorkloadKind};
@@ -133,7 +133,7 @@ fn sharded_sweep_matches_in_process() {
 fn sharded_sweep_matches_in_process_on_keyed_substrate() {
     let jobs = grid(30, 3, &[2, 4]);
     let sharded = run_sweep_sharded(jobs, &opts(3, SubstrateMode::Keyed, None)).unwrap();
-    let in_process = phishare_cluster::run_sweep_keyed(grid(30, 3, &[2, 4]), 1);
+    let in_process = run_sweep_with(grid(30, 3, &[2, 4]), 1, SubstrateMode::Keyed);
     assert_identical(&sharded, &in_process);
 }
 
@@ -218,10 +218,7 @@ proptest! {
         let sizes = [2u32, 3];
         let sharded =
             run_sweep_sharded(grid(jobs, seed, &sizes), &opts(workers, substrate, None)).unwrap();
-        let in_process = match substrate {
-            SubstrateMode::Fast => run_sweep(grid(jobs, seed, &sizes), 1),
-            _ => phishare_cluster::run_sweep_keyed(grid(jobs, seed, &sizes), 1),
-        };
+        let in_process = run_sweep_with(grid(jobs, seed, &sizes), 1, substrate);
         prop_assert_eq!(sharded, in_process);
     }
 

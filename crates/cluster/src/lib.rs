@@ -31,13 +31,17 @@
 //! * [`perturb`] — deterministic chaos perturbations (thermal derates,
 //!   offload-latency spikes, stale collector ads, negotiation jitter);
 //! * [`runtime`] — the discrete-event world: job lifecycle, negotiation
-//!   cycles, offload execution, failures;
+//!   cycles, offload execution, failures. [`Experiment::run`] is the
+//!   production run; [`Experiment::run_with`] takes [`RunOptions`] (fault
+//!   and perturbation plans, substrate, event scheme, tracing), which is
+//!   how every differential oracle is reached;
 //! * [`metrics`] — the measurements the paper reports (makespan, core
 //!   utilization, waits, crashes);
 //! * [`footprint`] — "smallest cluster that matches a target makespan"
 //!   search (Tables II and III);
 //! * [`sweep`] — a parallel parameter-sweep harness for the figure-scale
-//!   experiments (many independent simulations across worker threads);
+//!   experiments (many independent simulations across worker threads):
+//!   [`run_sweep`] on the fast substrate, [`run_sweep_with`] on any;
 //! * [`shard`] — the process-sharded sweep engine: manifest + lease-claimed
 //!   worker processes + fsync'd JSONL checkpoints with `--resume`, merged
 //!   bit-identical to [`sweep::run_sweep`];
@@ -71,14 +75,11 @@ pub use perturb::{
     DerateSpec, LatencySpec, PerturbConfig, PerturbEvent, PerturbKind, PerturbPlan, Perturbation,
     StaleAdsSpec,
 };
-pub use runtime::{Experiment, ExperimentScratch, SubstrateMode};
+pub use runtime::{EventMode, Experiment, RunOptions, SubstrateMode};
 pub use shard::{
-    default_workers, run_sweep_sharded, run_worker, run_worker_with, worker_main, CellRecord,
-    ManifestCell, ShardManifest, ShardOptions,
+    default_workers, run_sweep_sharded, run_worker, worker_main, CellRecord, ManifestCell,
+    ShardManifest, ShardOptions,
 };
 pub use substrate::{CosmicSubstrate, DeviceSubstrate};
-pub use sweep::{
-    default_threads, run_sweep, run_sweep_auto, run_sweep_keyed, run_sweep_substrate_auto,
-    SweepJob, SweepOutcome,
-};
+pub use sweep::{default_threads, run_sweep, run_sweep_with, SweepJob, SweepOutcome};
 pub use trace::{KillReason, Trace, TraceEvent};

@@ -2,6 +2,8 @@
 //!
 //! One [`Experiment::run`] call simulates a complete workload under one
 //! cluster configuration and returns the measurements the paper reports.
+//! [`Experiment::run_with`] is the same run under explicit [`RunOptions`]:
+//! fault and perturbation plans, substrate, event scheme and tracing.
 //!
 //! ## Lifecycle of a job
 //!
@@ -34,9 +36,9 @@
 //!   free `next_completion()`. Stale entries are drained lazily at pop time
 //!   ([`phishare_sim::Sim::step_live`]); handling the winner bumps the
 //!   generation and schedules the next winner. O(1) heap entries per device.
-//! * **Per-offload ([`Experiment::run_naive_events`])** — the seed's
-//!   original scheme: one event per active offload per generation, stale
-//!   ones dropped by the generation guard as they fire. O(n) heap churn per
+//! * **Per-offload ([`EventMode::PerOffload`])** — the seed's original
+//!   scheme: one event per active offload per generation, stale ones
+//!   dropped by the generation guard as they fire. O(n) heap churn per
 //!   membership change; retained as the differential oracle — both modes
 //!   must produce bit-identical metrics, traces, and audits (the fast
 //!   path's event pushes are a subsequence of the naive ones, and `(time,
@@ -61,7 +63,7 @@ use phishare_phi::{
     Affinity, CommitOutcome, KeyedPhiDevice, NaiveSharedDevice, PhiDevice, ProcId,
     SharedThroughputDevice,
 };
-use phishare_sim::{DetRng, EventQueue, Sim, SimDuration, SimTime, Summary};
+use phishare_sim::{DetRng, Sim, SimDuration, SimTime, Summary};
 use phishare_workload::{JobId, Segment, Workload};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -106,10 +108,14 @@ enum Ev {
 
 /// How completion predictions are turned into events (see module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum EventMode {
-    /// One event per device/host per generation (the fast path).
+pub enum EventMode {
+    /// One event per device/host per generation (production).
     NextCompletion,
-    /// One event per active offload/phase per generation (the oracle).
+    /// One event per active offload/phase per generation: the seed's
+    /// scheme, kept as the differential oracle for `NextCompletion`. Both
+    /// must produce bit-identical metrics, traces and audits (asserted by
+    /// the differential proptests and the `perf_sim` bench gate, where this
+    /// mode is the timing floor). Not a production mode.
     PerOffload,
 }
 
@@ -154,7 +160,7 @@ impl std::str::FromStr for SubstrateMode {
 }
 
 impl std::fmt::Display for SubstrateMode {
-    /// The CLI spelling; round-trips through [`SubstrateMode::from_str`]
+    /// The CLI spelling; round-trips through [`str::parse`]
     /// (the sweep manifests of [`crate::shard`] persist this form).
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {
@@ -166,37 +172,43 @@ impl std::fmt::Display for SubstrateMode {
     }
 }
 
-/// Per-worker recycled buffers for back-to-back experiments.
+/// How one [`Experiment::run_with`] call runs: which fault and
+/// perturbation plans, which substrate, which event scheme, and whether to
+/// record a lifecycle [`Trace`].
 ///
-/// A figure-scale sweep runs hundreds of independent simulations per
-/// worker thread. Each run's event heap and grant buffers grow to a
-/// steady-state size and are then thrown away; recycling them across cells
-/// (the same discipline as the planner's `DpScratch`) makes the per-cell
-/// allocation cost O(1) after warm-up. Recycling is invisible to results:
-/// `Experiment::run_with_scratch` is asserted bit-identical to
-/// [`Experiment::run`] by the runtime tests and the substrate proptests.
-#[derive(Debug)]
-pub struct ExperimentScratch {
-    /// Drained event heap from the previous cell (capacity retained).
-    events: EventQueue<Ev>,
-    /// Grant-collection buffer (empty between uses, capacity retained).
-    grants: Vec<OffloadGrant>,
+/// The default is the production run of [`Experiment::run`]: both plans
+/// derived from the config, [`SubstrateMode::Fast`],
+/// [`EventMode::NextCompletion`], no trace. Every differential oracle is one
+/// field away from it, so a test or bench gate spells its comparison as
+/// `RunOptions { substrate: SubstrateMode::Keyed, ..Default::default() }`.
+#[derive(Debug, Clone, Copy)]
+pub struct RunOptions<'a> {
+    /// Explicit fault-injection plan; `None` derives it from
+    /// `config.faults` with [`FaultPlan::generate`]. An empty plan leaves
+    /// the timeline bit-identical to a run with faults disabled.
+    pub faults: Option<&'a FaultPlan>,
+    /// Explicit perturbation plan; `None` derives it from `config.perturb`
+    /// with [`PerturbPlan::generate`]. An empty plan leaves the timeline
+    /// bit-identical to a run with perturbations disabled.
+    pub perturbs: Option<&'a PerturbPlan>,
+    /// Per-device state store.
+    pub substrate: SubstrateMode,
+    /// How completion predictions become events.
+    pub events: EventMode,
+    /// Record a full lifecycle [`Trace`] (submission, pinning, dispatch,
+    /// offloads, completion).
+    pub trace: bool,
 }
 
-impl ExperimentScratch {
-    /// Fresh, empty scratch. Buffers grow on first use and are retained
-    /// across runs.
-    pub fn new() -> Self {
-        ExperimentScratch {
-            events: EventQueue::new(),
-            grants: Vec::new(),
-        }
-    }
-}
-
-impl Default for ExperimentScratch {
+impl Default for RunOptions<'_> {
     fn default() -> Self {
-        Self::new()
+        RunOptions {
+            faults: None,
+            perturbs: None,
+            substrate: SubstrateMode::Fast,
+            events: EventMode::NextCompletion,
+            trace: false,
+        }
     }
 }
 
@@ -232,18 +244,7 @@ impl Experiment {
     /// Fails fast (rather than deadlocking) when the configuration is
     /// invalid or a job cannot fit on any device.
     pub fn run(config: &ClusterConfig, workload: &Workload) -> Result<ExperimentResult, String> {
-        let plan = FaultPlan::generate(config);
-        let perturbs = PerturbPlan::generate(config);
-        Self::run_inner::<PhiDevice, CosmicDevice>(
-            config,
-            workload,
-            &plan,
-            &perturbs,
-            false,
-            EventMode::NextCompletion,
-            None,
-        )
-        .map(|(r, _)| r)
+        Self::run_with(config, workload, &RunOptions::default()).map(|(r, _)| r)
     }
 
     /// Like [`Experiment::run`] but also records a full lifecycle
@@ -252,277 +253,59 @@ impl Experiment {
         config: &ClusterConfig,
         workload: &Workload,
     ) -> Result<(ExperimentResult, Trace), String> {
-        let plan = FaultPlan::generate(config);
-        let perturbs = PerturbPlan::generate(config);
-        Self::run_inner::<PhiDevice, CosmicDevice>(
-            config,
-            workload,
-            &plan,
-            &perturbs,
-            true,
-            EventMode::NextCompletion,
-            None,
-        )
-        .map(|(r, t)| (r, t.expect("tracing was enabled")))
+        let opts = RunOptions {
+            trace: true,
+            ..RunOptions::default()
+        };
+        Self::run_with(config, workload, &opts).map(|(r, t)| (r, t.expect("tracing was enabled")))
     }
 
-    /// [`Experiment::run`] with an explicit fault-injection plan instead of
-    /// the one derived from `config.faults`.
+    /// Simulate `workload` as `opts` describes. The trace is `Some` exactly
+    /// when `opts.trace` is set.
     ///
-    /// An empty plan is guaranteed to leave the timeline bit-identical to
-    /// [`Experiment::run`] with faults disabled (asserted by the
-    /// differential proptests).
-    pub fn run_with_faults(
+    /// The oracle pairs stay bit-identical under every plan and trace
+    /// setting: [`SubstrateMode::Fast`]/[`SubstrateMode::Keyed`],
+    /// [`SubstrateMode::Shared`]/[`SubstrateMode::SharedNaive`], and
+    /// [`EventMode::NextCompletion`]/[`EventMode::PerOffload`] on any
+    /// substrate (asserted by the runtime tests and `tests/prop_chaos.rs`).
+    pub fn run_with(
         config: &ClusterConfig,
         workload: &Workload,
-        plan: &FaultPlan,
-    ) -> Result<ExperimentResult, String> {
-        let perturbs = PerturbPlan::generate(config);
-        Self::run_inner::<PhiDevice, CosmicDevice>(
-            config,
-            workload,
-            plan,
-            &perturbs,
-            false,
-            EventMode::NextCompletion,
-            None,
-        )
-        .map(|(r, _)| r)
-    }
-
-    /// [`Experiment::run_with_faults`] with lifecycle tracing.
-    pub fn run_with_faults_traced(
-        config: &ClusterConfig,
-        workload: &Workload,
-        plan: &FaultPlan,
-    ) -> Result<(ExperimentResult, Trace), String> {
-        let perturbs = PerturbPlan::generate(config);
-        Self::run_inner::<PhiDevice, CosmicDevice>(
-            config,
-            workload,
-            plan,
-            &perturbs,
-            true,
-            EventMode::NextCompletion,
-            None,
-        )
-        .map(|(r, t)| (r, t.expect("tracing was enabled")))
-    }
-
-    /// [`Experiment::run_with_faults_traced`] under the per-offload oracle
-    /// event scheme (differential testing only).
-    pub fn run_naive_events_with_faults_traced(
-        config: &ClusterConfig,
-        workload: &Workload,
-        plan: &FaultPlan,
-    ) -> Result<(ExperimentResult, Trace), String> {
-        let perturbs = PerturbPlan::generate(config);
-        Self::run_inner::<PhiDevice, CosmicDevice>(
-            config,
-            workload,
-            plan,
-            &perturbs,
-            true,
-            EventMode::PerOffload,
-            None,
-        )
-        .map(|(r, t)| (r, t.expect("tracing was enabled")))
-    }
-
-    /// [`Experiment::run`] under the seed's per-offload event scheme.
-    ///
-    /// Kept as the differential oracle for the next-completion fast path:
-    /// results must be bit-identical to [`Experiment::run`] (asserted by
-    /// the `perf_sim` bench gate and the differential proptests). Not a
-    /// production entry point.
-    pub fn run_naive_events(
-        config: &ClusterConfig,
-        workload: &Workload,
-    ) -> Result<ExperimentResult, String> {
-        let plan = FaultPlan::generate(config);
-        let perturbs = PerturbPlan::generate(config);
-        Self::run_inner::<PhiDevice, CosmicDevice>(
-            config,
-            workload,
-            &plan,
-            &perturbs,
-            false,
-            EventMode::PerOffload,
-            None,
-        )
-        .map(|(r, _)| r)
-    }
-
-    /// [`Experiment::run_traced`] under the seed's per-offload event scheme.
-    pub fn run_naive_events_traced(
-        config: &ClusterConfig,
-        workload: &Workload,
-    ) -> Result<(ExperimentResult, Trace), String> {
-        let plan = FaultPlan::generate(config);
-        let perturbs = PerturbPlan::generate(config);
-        Self::run_inner::<PhiDevice, CosmicDevice>(
-            config,
-            workload,
-            &plan,
-            &perturbs,
-            true,
-            EventMode::PerOffload,
-            None,
-        )
-        .map(|(r, t)| (r, t.expect("tracing was enabled")))
-    }
-
-    /// [`Experiment::run`] on an explicitly chosen substrate.
-    ///
-    /// [`SubstrateMode::Keyed`] replays the run on the seed's map-backed
-    /// device/COSMIC state; results must be bit-identical to the default
-    /// slab-backed run (asserted by the differential proptests and the
-    /// `perf_e2e` bench gate, where the keyed run is the timing floor).
-    pub fn run_with_substrate(
-        config: &ClusterConfig,
-        workload: &Workload,
-        substrate: SubstrateMode,
-    ) -> Result<ExperimentResult, String> {
-        let plan = FaultPlan::generate(config);
-        let perturbs = PerturbPlan::generate(config);
-        Self::run_substrate_inner(config, workload, &plan, &perturbs, false, substrate, None)
-            .map(|(r, _)| r)
-    }
-
-    /// [`Experiment::run_with_substrate`] recycling `scratch`'s buffers
-    /// across calls — [`Experiment::run_with_scratch`] generalized to every
-    /// substrate, so sweep workers use one cell body regardless of mode.
-    /// Bit-identical to the scratch-free forms (the sweep tests pin every
-    /// substrate's recycled results against fresh runs).
-    pub fn run_with_substrate_scratch(
-        config: &ClusterConfig,
-        workload: &Workload,
-        substrate: SubstrateMode,
-        scratch: &mut ExperimentScratch,
-    ) -> Result<ExperimentResult, String> {
-        let plan = FaultPlan::generate(config);
-        let perturbs = PerturbPlan::generate(config);
-        Self::run_substrate_inner(
-            config,
-            workload,
-            &plan,
-            &perturbs,
-            false,
-            substrate,
-            Some(scratch),
-        )
-        .map(|(r, _)| r)
-    }
-
-    /// [`Experiment::run_with_faults_traced`] on an explicitly chosen
-    /// substrate (differential testing of the fault paths).
-    pub fn run_with_substrate_faults_traced(
-        config: &ClusterConfig,
-        workload: &Workload,
-        plan: &FaultPlan,
-        substrate: SubstrateMode,
-    ) -> Result<(ExperimentResult, Trace), String> {
-        let perturbs = PerturbPlan::generate(config);
-        Self::run_substrate_inner(config, workload, plan, &perturbs, true, substrate, None)
-            .map(|(r, t)| (r, t.expect("tracing was enabled")))
-    }
-
-    /// Chaos entry point: explicit fault *and* perturbation plans on an
-    /// explicitly chosen substrate, with lifecycle tracing.
-    ///
-    /// An empty perturbation plan (with `config.perturb` disabled) is
-    /// guaranteed bit-identical to
-    /// [`Experiment::run_with_substrate_faults_traced`], and the oracle
-    /// pairs (`Fast`/`Keyed`, `Shared`/`SharedNaive`) stay bit-identical
-    /// under every (stack, trace, fault-plan) triple — asserted by
-    /// `tests/prop_chaos.rs`.
-    pub fn run_chaos_traced(
-        config: &ClusterConfig,
-        workload: &Workload,
-        plan: &FaultPlan,
-        perturbs: &PerturbPlan,
-        substrate: SubstrateMode,
-    ) -> Result<(ExperimentResult, Trace), String> {
-        Self::run_substrate_inner(config, workload, plan, perturbs, true, substrate, None)
-            .map(|(r, t)| (r, t.expect("tracing was enabled")))
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn run_substrate_inner(
-        config: &ClusterConfig,
-        workload: &Workload,
-        plan: &FaultPlan,
-        perturbs: &PerturbPlan,
-        traced: bool,
-        substrate: SubstrateMode,
-        scratch: Option<&mut ExperimentScratch>,
+        opts: &RunOptions<'_>,
     ) -> Result<(ExperimentResult, Option<Trace>), String> {
-        match substrate {
+        let generated_faults;
+        let faults = match opts.faults {
+            Some(plan) => plan,
+            None => {
+                generated_faults = FaultPlan::generate(config);
+                &generated_faults
+            }
+        };
+        let generated_perturbs;
+        let perturbs = match opts.perturbs {
+            Some(plan) => plan,
+            None => {
+                generated_perturbs = PerturbPlan::generate(config);
+                &generated_perturbs
+            }
+        };
+        let (trace, events) = (opts.trace, opts.events);
+        match opts.substrate {
             SubstrateMode::Fast => Self::run_inner::<PhiDevice, CosmicDevice>(
-                config,
-                workload,
-                plan,
-                perturbs,
-                traced,
-                EventMode::NextCompletion,
-                scratch,
+                config, workload, faults, perturbs, trace, events,
             ),
             SubstrateMode::Keyed => Self::run_inner::<KeyedPhiDevice, KeyedCosmicDevice>(
-                config,
-                workload,
-                plan,
-                perturbs,
-                traced,
-                EventMode::NextCompletion,
-                scratch,
+                config, workload, faults, perturbs, trace, events,
             ),
             SubstrateMode::Shared => Self::run_inner::<SharedThroughputDevice, CosmicDevice>(
-                config,
-                workload,
-                plan,
-                perturbs,
-                traced,
-                EventMode::NextCompletion,
-                scratch,
+                config, workload, faults, perturbs, trace, events,
             ),
             SubstrateMode::SharedNaive => Self::run_inner::<NaiveSharedDevice, CosmicDevice>(
-                config,
-                workload,
-                plan,
-                perturbs,
-                traced,
-                EventMode::NextCompletion,
-                scratch,
+                config, workload, faults, perturbs, trace, events,
             ),
         }
     }
 
-    /// [`Experiment::run`] recycling `scratch`'s buffers across calls.
-    ///
-    /// Sweep workers call this once per grid cell so the event heap and
-    /// grant buffers are allocated once per worker, not once per cell.
-    /// Bit-identical to [`Experiment::run`] (asserted by the runtime
-    /// tests).
-    pub fn run_with_scratch(
-        config: &ClusterConfig,
-        workload: &Workload,
-        scratch: &mut ExperimentScratch,
-    ) -> Result<ExperimentResult, String> {
-        let plan = FaultPlan::generate(config);
-        let perturbs = PerturbPlan::generate(config);
-        Self::run_inner::<PhiDevice, CosmicDevice>(
-            config,
-            workload,
-            &plan,
-            &perturbs,
-            false,
-            EventMode::NextCompletion,
-            Some(scratch),
-        )
-        .map(|(r, _)| r)
-    }
-
-    #[allow(clippy::too_many_arguments)]
     fn run_inner<D: DeviceSubstrate, C: CosmicSubstrate>(
         config: &ClusterConfig,
         workload: &Workload,
@@ -530,7 +313,6 @@ impl Experiment {
         perturbs: &PerturbPlan,
         traced: bool,
         mode: EventMode,
-        mut scratch: Option<&mut ExperimentScratch>,
     ) -> Result<(ExperimentResult, Option<Trace>), String> {
         config.validate()?;
         plan.validate(config)?;
@@ -580,19 +362,9 @@ impl Experiment {
         // Pending events are dominated by jobs × lifecycle stages (arrive,
         // cycle, dispatch, one live prediction per device/host); pre-size
         // the heap so large experiments never pay growth reallocations.
-        // With scratch, the previous cell's (drained, capacity-retaining)
-        // heap and grant buffer are recycled instead.
-        let mut sim: Sim<Ev> = if let Some(s) = scratch.as_deref_mut() {
-            world.grants_buf = std::mem::take(&mut s.grants);
-            let queue = std::mem::replace(&mut s.events, EventQueue::new());
-            let mut sim = Sim::from_recycled(queue);
-            sim.reserve(workload.len() * 4 + 64);
-            sim
-        } else {
-            match mode {
-                EventMode::NextCompletion => Sim::with_capacity(workload.len() * 4 + 64),
-                EventMode::PerOffload => Sim::new(),
-            }
+        let mut sim: Sim<Ev> = match mode {
+            EventMode::NextCompletion => Sim::with_capacity(workload.len() * 4 + 64),
+            EventMode::PerOffload => Sim::new(),
         };
         for (idx, at) in workload.arrivals.iter().enumerate() {
             sim.schedule_at(*at, Ev::Arrive(idx));
@@ -675,14 +447,6 @@ impl Experiment {
             }
         }
         let trace = world.trace.take();
-        // Hand the (drained) buffers back for the next cell. Error paths
-        // above skip this: the caller's scratch simply starts fresh again.
-        if let Some(s) = scratch {
-            let mut grants = std::mem::take(&mut world.grants_buf);
-            grants.clear();
-            s.grants = grants;
-            s.events = sim.into_queue();
-        }
         Ok((world.into_result(config, workload), trace))
     }
 }
@@ -705,7 +469,7 @@ struct World<'a, D: DeviceSubstrate, C: CosmicSubstrate> {
     running: BTreeMap<JobId, RunningJob<D::Handle, C::Handle>>,
     /// Reusable buffer for collecting COSMIC grants (completion, kill and
     /// unregister paths); taken/restored around each use so the hot loop
-    /// never allocates. Recycled across runs via [`ExperimentScratch`].
+    /// never allocates.
     grants_buf: Vec<OffloadGrant>,
     /// Device chosen at match time, consumed at dispatch.
     matched_dev: BTreeMap<JobId, DevKey>,
@@ -2141,7 +1905,8 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
         let mut collector = self.collector.clone();
         let (matches, _) = self
             .negotiator
-            .negotiate_full_with_stats(&mut queue, &mut collector);
+            .with_path(phishare_condor::MatchPath::Full)
+            .negotiate_with_stats(&mut queue, &mut collector);
         debug_assert!(
             matches.is_empty(),
             "quiescence skipped a cycle the full oracle would have matched {} job(s) in",
@@ -2272,6 +2037,47 @@ mod tests {
         cfg
     }
 
+    /// [`Experiment::run_with`] under `opts` with tracing switched on.
+    fn traced_with(
+        cfg: &ClusterConfig,
+        wl: &Workload,
+        opts: RunOptions<'_>,
+    ) -> (ExperimentResult, Trace) {
+        let opts = RunOptions {
+            trace: true,
+            ..opts
+        };
+        let (r, trace) = Experiment::run_with(cfg, wl, &opts).unwrap();
+        (r, trace.expect("tracing was enabled"))
+    }
+
+    /// An untraced default run on `substrate`.
+    fn run_on(cfg: &ClusterConfig, wl: &Workload, substrate: SubstrateMode) -> ExperimentResult {
+        let opts = RunOptions {
+            substrate,
+            ..RunOptions::default()
+        };
+        Experiment::run_with(cfg, wl, &opts).unwrap().0
+    }
+
+    /// Default options with an explicit fault plan on `substrate`.
+    fn faulted(plan: &FaultPlan, substrate: SubstrateMode) -> RunOptions<'_> {
+        RunOptions {
+            faults: Some(plan),
+            substrate,
+            ..RunOptions::default()
+        }
+    }
+
+    /// Default options on the per-offload oracle event scheme.
+    const PER_OFFLOAD: RunOptions<'static> = RunOptions {
+        faults: None,
+        perturbs: None,
+        substrate: SubstrateMode::Fast,
+        events: EventMode::PerOffload,
+        trace: false,
+    };
+
     #[test]
     fn mc_runs_all_jobs_to_completion() {
         let wl = small_workload(40, 1);
@@ -2375,7 +2181,7 @@ mod tests {
         for policy in [ClusterPolicy::Mc, ClusterPolicy::Mcc, ClusterPolicy::Mcck] {
             let cfg = fast_config(policy);
             let (fast, fast_trace) = Experiment::run_traced(&cfg, &wl).unwrap();
-            let (naive, naive_trace) = Experiment::run_naive_events_traced(&cfg, &wl).unwrap();
+            let (naive, naive_trace) = traced_with(&cfg, &wl, PER_OFFLOAD);
             assert_eq!(fast, naive, "{policy}: metrics diverged across event modes");
             assert_eq!(
                 fast_trace.events, naive_trace.events,
@@ -2531,7 +2337,9 @@ mod tests {
         for policy in [ClusterPolicy::Mc, ClusterPolicy::Mcc, ClusterPolicy::Mcck] {
             let cfg = fast_config(policy);
             let plain = Experiment::run(&cfg, &wl).unwrap();
-            let faulted = Experiment::run_with_faults(&cfg, &wl, &FaultPlan::empty()).unwrap();
+            let empty = FaultPlan::empty();
+            let (faulted, _) =
+                Experiment::run_with(&cfg, &wl, &faulted(&empty, SubstrateMode::Fast)).unwrap();
             assert_eq!(plain, faulted, "{policy}: empty plan perturbed the run");
         }
     }
@@ -2541,7 +2349,7 @@ mod tests {
         let wl = small_workload(20, 22);
         let cfg = fast_config(ClusterPolicy::Mcck);
         let plan = one_fault(FaultKind::DeviceReset, 1, 0, 5, 30);
-        let (r, trace) = Experiment::run_with_faults_traced(&cfg, &wl, &plan).unwrap();
+        let (r, trace) = traced_with(&cfg, &wl, faulted(&plan, SubstrateMode::Fast));
         assert_eq!(r.device_resets, 1);
         assert_eq!(r.node_churns, 0);
         // HostOnly fallback: jobs caught on the card keep their slot and
@@ -2560,7 +2368,7 @@ mod tests {
         let wl = small_workload(20, 23);
         let cfg = fast_config(ClusterPolicy::Mcck);
         let plan = one_fault(FaultKind::NodeChurn, 1, 0, 5, 60);
-        let (r, trace) = Experiment::run_with_faults_traced(&cfg, &wl, &plan).unwrap();
+        let (r, trace) = traced_with(&cfg, &wl, faulted(&plan, SubstrateMode::Fast));
         assert_eq!(r.node_churns, 1);
         assert!(r.retries > 0, "churn should vacate running jobs: {r:?}");
         assert_eq!(
@@ -2581,7 +2389,7 @@ mod tests {
         cfg.recovery.fallback = FallbackPolicy::Requeue;
         cfg.recovery.max_retries = 0;
         let plan = one_fault(FaultKind::DeviceReset, 1, 0, 5, 30);
-        let (r, trace) = Experiment::run_with_faults_traced(&cfg, &wl, &plan).unwrap();
+        let (r, trace) = traced_with(&cfg, &wl, faulted(&plan, SubstrateMode::Fast));
         assert_eq!(r.held_after_retries, 1, "{r:?}");
         assert_eq!(r.retries, 0, "a zero budget never grants a retry");
         assert_eq!(r.completed + r.held_after_retries, r.jobs);
@@ -2612,9 +2420,13 @@ mod tests {
         };
         for policy in [ClusterPolicy::Mc, ClusterPolicy::Mcc, ClusterPolicy::Mcck] {
             let cfg = fast_config(policy);
-            let (fast, fast_trace) = Experiment::run_with_faults_traced(&cfg, &wl, &plan).unwrap();
-            let (naive, naive_trace) =
-                Experiment::run_naive_events_with_faults_traced(&cfg, &wl, &plan).unwrap();
+            let fast_opts = faulted(&plan, SubstrateMode::Fast);
+            let (fast, fast_trace) = traced_with(&cfg, &wl, fast_opts);
+            let naive_opts = RunOptions {
+                events: EventMode::PerOffload,
+                ..fast_opts
+            };
+            let (naive, naive_trace) = traced_with(&cfg, &wl, naive_opts);
             assert_eq!(fast, naive, "{policy}: fault metrics diverged across modes");
             assert_eq!(
                 fast_trace.events, naive_trace.events,
@@ -2624,7 +2436,7 @@ mod tests {
     }
 
     // ------------------------------------------------------------------
-    // Substrate differential & scratch recycling
+    // Substrate differential
     // ------------------------------------------------------------------
 
     #[test]
@@ -2633,7 +2445,7 @@ mod tests {
         for policy in [ClusterPolicy::Mc, ClusterPolicy::Mcc, ClusterPolicy::Mcck] {
             let cfg = fast_config(policy);
             let fast = Experiment::run(&cfg, &wl).unwrap();
-            let keyed = Experiment::run_with_substrate(&cfg, &wl, SubstrateMode::Keyed).unwrap();
+            let keyed = run_on(&cfg, &wl, SubstrateMode::Keyed);
             assert_eq!(fast, keyed, "{policy}: substrates diverged");
         }
     }
@@ -2661,16 +2473,8 @@ mod tests {
         };
         for policy in [ClusterPolicy::Mc, ClusterPolicy::Mcc, ClusterPolicy::Mcck] {
             let cfg = fast_config(policy);
-            let (fast, fast_trace) =
-                Experiment::run_with_substrate_faults_traced(&cfg, &wl, &plan, SubstrateMode::Fast)
-                    .unwrap();
-            let (keyed, keyed_trace) = Experiment::run_with_substrate_faults_traced(
-                &cfg,
-                &wl,
-                &plan,
-                SubstrateMode::Keyed,
-            )
-            .unwrap();
+            let (fast, fast_trace) = traced_with(&cfg, &wl, faulted(&plan, SubstrateMode::Fast));
+            let (keyed, keyed_trace) = traced_with(&cfg, &wl, faulted(&plan, SubstrateMode::Keyed));
             assert_eq!(fast, keyed, "{policy}: fault metrics diverged");
             assert_eq!(
                 fast_trace.events, keyed_trace.events,
@@ -2684,11 +2488,40 @@ mod tests {
         let wl = small_workload(40, 31);
         for policy in [ClusterPolicy::Mc, ClusterPolicy::Mcc, ClusterPolicy::Mcck] {
             let cfg = fast_config(policy);
-            let shared = Experiment::run_with_substrate(&cfg, &wl, SubstrateMode::Shared).unwrap();
-            let naive =
-                Experiment::run_with_substrate(&cfg, &wl, SubstrateMode::SharedNaive).unwrap();
+            let shared = run_on(&cfg, &wl, SubstrateMode::Shared);
+            let naive = run_on(&cfg, &wl, SubstrateMode::SharedNaive);
             assert_eq!(shared, naive, "{policy}: shared engines diverged");
             assert!(shared.completed > 0, "{policy}: nothing ran end-to-end");
+        }
+    }
+
+    #[test]
+    fn per_offload_events_match_on_every_substrate() {
+        let wl = small_workload(25, 34);
+        let substrates = [
+            SubstrateMode::Keyed,
+            SubstrateMode::Shared,
+            SubstrateMode::SharedNaive,
+        ];
+        for substrate in substrates {
+            for policy in [ClusterPolicy::Mc, ClusterPolicy::Mcc, ClusterPolicy::Mcck] {
+                let cfg = fast_config(policy);
+                let opts = RunOptions {
+                    substrate,
+                    ..RunOptions::default()
+                };
+                let (fast, fast_trace) = traced_with(&cfg, &wl, opts);
+                let per_offload = RunOptions {
+                    events: EventMode::PerOffload,
+                    ..opts
+                };
+                let (naive, naive_trace) = traced_with(&cfg, &wl, per_offload);
+                assert_eq!(fast, naive, "{substrate}/{policy}: event modes diverged");
+                assert_eq!(
+                    fast_trace.events, naive_trace.events,
+                    "{substrate}/{policy}: traces diverged across event modes"
+                );
+            }
         }
     }
 
@@ -2711,20 +2544,10 @@ mod tests {
             for policy in [ClusterPolicy::Mcc, ClusterPolicy::Mcck] {
                 let mut cfg = fast_config(policy);
                 cfg.pool = pool;
-                let (shared, shared_trace) = Experiment::run_with_substrate_faults_traced(
-                    &cfg,
-                    &wl,
-                    &plan,
-                    SubstrateMode::Shared,
-                )
-                .unwrap();
-                let (naive, naive_trace) = Experiment::run_with_substrate_faults_traced(
-                    &cfg,
-                    &wl,
-                    &plan,
-                    SubstrateMode::SharedNaive,
-                )
-                .unwrap();
+                let (shared, shared_trace) =
+                    traced_with(&cfg, &wl, faulted(&plan, SubstrateMode::Shared));
+                let (naive, naive_trace) =
+                    traced_with(&cfg, &wl, faulted(&plan, SubstrateMode::SharedNaive));
                 assert_eq!(shared, naive, "{policy}/{pool:?}: shared engines diverged");
                 assert_eq!(
                     shared_trace.events, naive_trace.events,
@@ -2738,23 +2561,6 @@ mod tests {
                 assert!(violations.is_empty(), "{policy}/{pool:?}: {violations:?}");
             }
         }
-    }
-
-    #[test]
-    fn scratch_reuse_is_bit_identical() {
-        let wl = small_workload(30, 32);
-        let cfg = fast_config(ClusterPolicy::Mcck);
-        let fresh = Experiment::run(&cfg, &wl).unwrap();
-        let mut scratch = ExperimentScratch::new();
-        let first = Experiment::run_with_scratch(&cfg, &wl, &mut scratch).unwrap();
-        let second = Experiment::run_with_scratch(&cfg, &wl, &mut scratch).unwrap();
-        assert_eq!(fresh, first, "cold scratch perturbed the run");
-        assert_eq!(fresh, second, "recycled scratch perturbed the run");
-        // A different cell through the same (dirty) scratch is unaffected.
-        let cfg2 = fast_config(ClusterPolicy::Mc);
-        let fresh2 = Experiment::run(&cfg2, &wl).unwrap();
-        let third = Experiment::run_with_scratch(&cfg2, &wl, &mut scratch).unwrap();
-        assert_eq!(fresh2, third, "scratch leaked state across cells");
     }
 
     #[test]
@@ -2803,14 +2609,13 @@ mod tests {
         for policy in [ClusterPolicy::Mc, ClusterPolicy::Mcc, ClusterPolicy::Mcck] {
             let cfg = fast_config(policy);
             let plain = Experiment::run(&cfg, &wl).unwrap();
-            let (chaos, _) = Experiment::run_chaos_traced(
-                &cfg,
-                &wl,
-                &FaultPlan::empty(),
-                &PerturbPlan::empty(),
-                SubstrateMode::Fast,
-            )
-            .unwrap();
+            let (faults, perturbs) = (FaultPlan::empty(), PerturbPlan::empty());
+            let opts = RunOptions {
+                faults: Some(&faults),
+                perturbs: Some(&perturbs),
+                ..RunOptions::default()
+            };
+            let (chaos, _) = traced_with(&cfg, &wl, opts);
             assert_eq!(plain, chaos, "{policy}: empty stack perturbed the run");
         }
     }
@@ -2886,7 +2691,7 @@ mod tests {
         for policy in [ClusterPolicy::Mc, ClusterPolicy::Mcc, ClusterPolicy::Mcck] {
             let cfg = chaos_config(policy);
             let (fast, fast_trace) = Experiment::run_traced(&cfg, &wl).unwrap();
-            let (naive, naive_trace) = Experiment::run_naive_events_traced(&cfg, &wl).unwrap();
+            let (naive, naive_trace) = traced_with(&cfg, &wl, PER_OFFLOAD);
             assert_eq!(fast, naive, "{policy}: chaos metrics diverged across modes");
             assert_eq!(
                 fast_trace.events, naive_trace.events,
@@ -2902,16 +2707,24 @@ mod tests {
             let cfg = chaos_config(policy);
             let faults = FaultPlan::generate(&cfg);
             let perturbs = PerturbPlan::generate(&cfg);
-            let run = |mode| Experiment::run_chaos_traced(&cfg, &wl, &faults, &perturbs, mode);
-            let (fast, fast_trace) = run(SubstrateMode::Fast).unwrap();
-            let (keyed, keyed_trace) = run(SubstrateMode::Keyed).unwrap();
+            let run = |substrate| {
+                let opts = RunOptions {
+                    faults: Some(&faults),
+                    perturbs: Some(&perturbs),
+                    substrate,
+                    ..RunOptions::default()
+                };
+                traced_with(&cfg, &wl, opts)
+            };
+            let (fast, fast_trace) = run(SubstrateMode::Fast);
+            let (keyed, keyed_trace) = run(SubstrateMode::Keyed);
             assert_eq!(fast, keyed, "{policy}: fast/keyed diverged under chaos");
             assert_eq!(
                 fast_trace.events, keyed_trace.events,
                 "{policy}: fast/keyed traces diverged under chaos"
             );
-            let (shared, shared_trace) = run(SubstrateMode::Shared).unwrap();
-            let (naive, naive_trace) = run(SubstrateMode::SharedNaive).unwrap();
+            let (shared, shared_trace) = run(SubstrateMode::Shared);
+            let (naive, naive_trace) = run(SubstrateMode::SharedNaive);
             assert_eq!(
                 shared, naive,
                 "{policy}: shared engines diverged under chaos"

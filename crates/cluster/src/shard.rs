@@ -20,16 +20,16 @@
 //! 3. Each worker appends finished cells to its own `results-w<k>.jsonl`
 //!    log — one fsync'd record per line — and every record carries the
 //!    cell's grid index.
-//! 4. The parent merges all logs through the same [`OrderedSlots`]
-//!    submission-order reassembly the in-process sweep uses: duplicate
+//! 4. The parent merges all logs through the same submission-order
+//!    reassembly (`OrderedSlots`) the in-process sweep uses: duplicate
 //!    indices and holes are hard errors, so a successful merge proves every
 //!    cell ran exactly once.
 //!
-//! Because workers execute cells through the same
-//! [`run_cell`](crate::sweep) body as the thread sweep and the merge is
-//! index-ordered, a sharded sweep is **bit-identical** to
-//! [`run_sweep`](crate::sweep::run_sweep) on the same grid — the sharded
-//! path stays a differential oracle of the in-process one.
+//! Because workers execute cells through the same cell body (`run_cell`)
+//! as the thread sweep and the merge is index-ordered, a sharded sweep is
+//! **bit-identical** to [`run_sweep`](crate::sweep::run_sweep) on the
+//! same grid — the sharded path stays a differential oracle of the
+//! in-process one.
 //!
 //! **Checkpoint/resume:** the JSONL logs are the checkpoint. A killed sweep
 //! relaunched with [`ShardOptions::resume`] re-verifies the manifest
@@ -41,7 +41,7 @@
 
 use crate::config::ClusterConfig;
 use crate::metrics::ExperimentResult;
-use crate::runtime::{ExperimentScratch, SubstrateMode};
+use crate::runtime::SubstrateMode;
 use crate::sweep::{run_cell, OrderedSlots, SweepJob, SweepOutcome};
 use phishare_workload::Workload;
 use serde::{Deserialize, Serialize};
@@ -66,7 +66,7 @@ pub struct ManifestCell {
 }
 
 /// The sweep grid a worker process reconstructs its jobs from. On disk
-/// this splits into a small `manifest.json` ([`ManifestHeader`]) and one
+/// this splits into a small `manifest.json` (`ManifestHeader`) and one
 /// `workloads/wl-<i>.json` per distinct workload, so workers can load
 /// workloads lazily; in memory it carries everything.
 #[derive(Debug, Clone)]
@@ -393,16 +393,13 @@ fn scan_all_logs(dir: &Path) -> Result<Vec<CellRecord>, String> {
 /// lease files until the grid is exhausted. Returns the number of cells
 /// this worker executed.
 ///
+/// `partitions` overrides the collector partition count of every cell this
+/// worker executes (the `--partitions` worker flag). Results are
+/// partition-count-invariant, so two workers on the same grid may use
+/// different values without corrupting the merge.
+///
 /// This is the body behind `--worker --dir <dir> --worker-id <k>`.
-pub fn run_worker(dir: &Path, worker_id: usize) -> Result<usize, String> {
-    run_worker_with(dir, worker_id, None)
-}
-
-/// [`run_worker`] with an optional collector-partition override applied to
-/// every cell this worker executes (the `--partitions` worker flag).
-/// Results are partition-count-invariant, so two workers on the same grid
-/// may use different values without corrupting the merge.
-pub fn run_worker_with(
+pub fn run_worker(
     dir: &Path,
     worker_id: usize,
     partitions: Option<usize>,
@@ -430,7 +427,6 @@ pub fn run_worker_with(
         .open(&own_log)
         .map_err(|e| format!("cannot open {}: {e}", own_log.display()))?;
     let leases = leases_dir(dir);
-    let mut scratch = ExperimentScratch::new();
     // Workload bodies load lazily, only after winning a claim — a worker
     // never pays for cells another worker runs. Cells sharing a workload
     // share one materialization, exactly like the original grid.
@@ -465,7 +461,7 @@ pub fn run_worker_with(
             config,
             workload,
         };
-        let outcome = run_cell(&job, substrate, &mut scratch);
+        let outcome = run_cell(&job, substrate);
         let record = CellRecord {
             index: idx,
             label: job.label.clone(),
@@ -540,7 +536,7 @@ pub fn parse_worker_args(args: &[String]) -> Result<(PathBuf, usize, Option<usiz
 /// this when their first argument is `--worker`.
 pub fn worker_main(args: &[String]) -> Result<usize, String> {
     let (dir, worker_id, partitions) = parse_worker_args(args)?;
-    run_worker_with(&dir, worker_id, partitions)
+    run_worker(&dir, worker_id, partitions)
 }
 
 /// Merge every worker log in `dir` back into submission order. Labels are
@@ -785,9 +781,9 @@ mod tests {
         write_manifest(&dir, &manifest).unwrap();
         // Two sequential worker "processes" in-process: the second finds
         // everything leased/checkpointed and runs nothing.
-        let ran = run_worker(&dir, 0).unwrap();
+        let ran = run_worker(&dir, 0, None).unwrap();
         assert_eq!(ran, 4);
-        assert_eq!(run_worker(&dir, 1).unwrap(), 0);
+        assert_eq!(run_worker(&dir, 1, None).unwrap(), 0);
         let merged = merge_results(&dir).unwrap();
         let expected = crate::sweep::run_sweep(grid(), 1);
         assert_eq!(merged, expected, "sharded merge diverged from run_sweep");
@@ -801,7 +797,7 @@ mod tests {
         write_manifest(&dir, &manifest).unwrap();
         // Override every cell to 4 collector partitions: the merge must
         // still equal the serial, single-partition in-process sweep.
-        assert_eq!(run_worker_with(&dir, 0, Some(4)).unwrap(), 4);
+        assert_eq!(run_worker(&dir, 0, Some(4)).unwrap(), 4);
         let merged = merge_results(&dir).unwrap();
         assert_eq!(
             merged,
@@ -843,10 +839,10 @@ mod tests {
         let manifest = build_manifest(&grid(), SubstrateMode::Fast);
         write_manifest(&dir, &manifest).unwrap();
         // First generation checkpoints everything...
-        assert_eq!(run_worker(&dir, 0).unwrap(), 4);
+        assert_eq!(run_worker(&dir, 0, None).unwrap(), 4);
         // ...a resume clears leases (simulated) and re-runs nothing.
         clear_leases(&dir).unwrap();
-        assert_eq!(run_worker(&dir, 1).unwrap(), 0);
+        assert_eq!(run_worker(&dir, 1, None).unwrap(), 0);
         let merged = merge_results(&dir).unwrap();
         assert_eq!(merged, crate::sweep::run_sweep(grid(), 1));
         fs::remove_dir_all(&dir).unwrap();
@@ -857,7 +853,7 @@ mod tests {
         let dir = temp_dir("torn");
         let manifest = build_manifest(&grid(), SubstrateMode::Fast);
         write_manifest(&dir, &manifest).unwrap();
-        assert_eq!(run_worker(&dir, 0).unwrap(), 4);
+        assert_eq!(run_worker(&dir, 0, None).unwrap(), 4);
         // Tear the final record: chop the log mid-line.
         let log = log_path(&dir, 0);
         let bytes = fs::read(&log).unwrap();
@@ -867,7 +863,7 @@ mod tests {
         assert!(torn);
         // Next generation: leases cleared, the torn cell re-runs.
         clear_leases(&dir).unwrap();
-        assert_eq!(run_worker(&dir, 0).unwrap(), 1);
+        assert_eq!(run_worker(&dir, 0, None).unwrap(), 1);
         let merged = merge_results(&dir).unwrap();
         assert_eq!(merged, crate::sweep::run_sweep(grid(), 1));
         fs::remove_dir_all(&dir).unwrap();
@@ -878,7 +874,7 @@ mod tests {
         let dir = temp_dir("dup");
         let manifest = build_manifest(&grid(), SubstrateMode::Fast);
         write_manifest(&dir, &manifest).unwrap();
-        assert_eq!(run_worker(&dir, 0).unwrap(), 4);
+        assert_eq!(run_worker(&dir, 0, None).unwrap(), 4);
         // Forge a duplicate of the first record into a second log.
         let first_line = fs::read_to_string(log_path(&dir, 0))
             .unwrap()
@@ -897,7 +893,7 @@ mod tests {
         let dir = temp_dir("label");
         let manifest = build_manifest(&grid(), SubstrateMode::Fast);
         write_manifest(&dir, &manifest).unwrap();
-        assert_eq!(run_worker(&dir, 0).unwrap(), 4);
+        assert_eq!(run_worker(&dir, 0, None).unwrap(), 4);
         let log = log_path(&dir, 0);
         let text = fs::read_to_string(&log)
             .unwrap()

@@ -22,7 +22,7 @@
 //! runtime ([`crate::runtime::Experiment`]) is instantiated over. Both
 //! substrates must produce **bit-identical** [`crate::ExperimentResult`]s
 //! and traces — the same differential-oracle discipline as
-//! `Experiment::run_naive_events` (event schemes) and the planner's
+//! [`crate::EventMode::PerOffload`] (event schemes) and the planner's
 //! `NaiveSerial` mode. That contract is enforced by the substrate-axis
 //! proptests in `cluster/tests/prop_runtime_diff.rs` and re-asserted
 //! pin-for-pin by the `perf_e2e` bench gate before it times anything.

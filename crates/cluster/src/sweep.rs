@@ -10,13 +10,13 @@
 //! one worker and then the collector).
 //!
 //! For grids too large for one process, [`crate::shard`] fans the same
-//! cells out over worker *processes*; both paths share [`run_cell`] and
-//! the [`OrderedSlots`] merge, so the sharded output stays bit-identical
-//! to the in-process one.
+//! cells out over worker *processes*; both paths share one cell body
+//! (`run_cell`) and one submission-order merge (`OrderedSlots`), so the
+//! sharded output stays bit-identical to the in-process one.
 
 use crate::config::ClusterConfig;
 use crate::metrics::ExperimentResult;
-use crate::runtime::{Experiment, ExperimentScratch, SubstrateMode};
+use crate::runtime::{Experiment, RunOptions, SubstrateMode};
 use phishare_workload::Workload;
 use std::sync::Arc;
 
@@ -34,18 +34,21 @@ pub struct SweepJob {
 /// The outcome of one sweep cell, as reported back to the caller.
 pub type SweepOutcome = (String, Result<ExperimentResult, String>);
 
-/// Run one sweep cell on the given substrate, recycling `scratch`.
+/// Run one sweep cell on the given substrate.
 ///
 /// The single worker body shared by every sweep mode — the in-process
-/// workers of [`run_sweep`]/[`run_sweep_keyed`] and the per-process
-/// workers of [`crate::shard`] all execute cells through here, so every
-/// path gets scratch recycling and every path is bit-identical.
+/// workers of [`run_sweep_with`] and the per-process workers of
+/// [`crate::shard`] all execute cells through here, so every path is
+/// bit-identical.
 pub(crate) fn run_cell(
     job: &SweepJob,
     substrate: SubstrateMode,
-    scratch: &mut ExperimentScratch,
 ) -> Result<ExperimentResult, String> {
-    Experiment::run_with_substrate_scratch(&job.config, &job.workload, substrate, scratch)
+    let opts = RunOptions {
+        substrate,
+        ..RunOptions::default()
+    };
+    Experiment::run_with(&job.config, &job.workload, &opts).map(|(r, _)| r)
 }
 
 /// Submission-order reassembly of indexed sweep outcomes.
@@ -90,34 +93,21 @@ impl OrderedSlots {
 
 /// Run every job in the grid, using up to `threads` worker threads.
 /// Results come back in the same order as `jobs`.
-///
-/// Each worker owns one [`ExperimentScratch`] and recycles its event heap
-/// and grant buffers across the cells it processes — steady-state cells
-/// allocate O(1), and recycling is asserted bit-identical to fresh runs.
 pub fn run_sweep(jobs: Vec<SweepJob>, threads: usize) -> Vec<SweepOutcome> {
-    sweep_inner(jobs, threads, SubstrateMode::Fast)
+    run_sweep_with(jobs, threads, SubstrateMode::Fast)
 }
 
-/// [`run_sweep`] on the seed's keyed substrate ([`SubstrateMode::Keyed`]),
-/// with the same per-worker scratch recycling as the fast path.
+/// [`run_sweep`] on an explicitly chosen substrate.
 ///
-/// The differential oracle and the timing floor for the `perf_e2e` bench
-/// gate: its results must be bit-identical to [`run_sweep`]'s.
-pub fn run_sweep_keyed(jobs: Vec<SweepJob>, threads: usize) -> Vec<SweepOutcome> {
-    sweep_inner(jobs, threads, SubstrateMode::Keyed)
-}
-
-/// [`run_sweep`] on an explicitly chosen substrate, sized to the machine
-/// like [`run_sweep_auto`]. The heterogeneous-SKU experiments run their
-/// grids on [`SubstrateMode::Shared`] through this.
-pub fn run_sweep_substrate_auto(
+/// [`SubstrateMode::Keyed`] is the differential oracle and the timing
+/// floor for the `perf_e2e` bench gate: its results must be bit-identical
+/// to [`run_sweep`]'s. The heterogeneous-SKU experiments run their grids
+/// on [`SubstrateMode::Shared`].
+pub fn run_sweep_with(
     jobs: Vec<SweepJob>,
+    threads: usize,
     substrate: SubstrateMode,
 ) -> Vec<SweepOutcome> {
-    sweep_inner(jobs, default_threads(), substrate)
-}
-
-fn sweep_inner(jobs: Vec<SweepJob>, threads: usize, substrate: SubstrateMode) -> Vec<SweepOutcome> {
     assert!(threads >= 1, "need at least one worker");
     let n = jobs.len();
     if n == 0 {
@@ -139,9 +129,8 @@ fn sweep_inner(jobs: Vec<SweepJob>, threads: usize, substrate: SubstrateMode) ->
             let rx = rx.clone();
             let res_tx = res_tx.clone();
             scope.spawn(move || {
-                let mut scratch = ExperimentScratch::new();
                 while let Ok((idx, job)) = rx.recv() {
-                    let outcome = run_cell(&job, substrate, &mut scratch);
+                    let outcome = run_cell(&job, substrate);
                     res_tx
                         .send((idx, job.label, outcome))
                         .expect("open channel");
@@ -162,13 +151,6 @@ fn sweep_inner(jobs: Vec<SweepJob>, threads: usize, substrate: SubstrateMode) ->
     slots
         .finish()
         .expect("every sweep cell reports exactly once")
-}
-
-/// [`run_sweep`] sized to the machine: worker count from
-/// [`std::thread::available_parallelism`] via [`default_threads`]. The
-/// bench harness entry point — benches should not hand-pick thread counts.
-pub fn run_sweep_auto(jobs: Vec<SweepJob>) -> Vec<SweepOutcome> {
-    run_sweep(jobs, default_threads())
 }
 
 /// Default worker count: the `PHISHARE_SWEEP_THREADS` environment variable
@@ -260,7 +242,7 @@ mod tests {
     #[test]
     fn keyed_sweep_matches_fast_sweep() {
         let fast = run_sweep(grid(), 3);
-        let keyed = run_sweep_keyed(grid(), 3);
+        let keyed = run_sweep_with(grid(), 3, SubstrateMode::Keyed);
         for ((fl, fr), (kl, kr)) in fast.iter().zip(keyed.iter()) {
             assert_eq!(fl, kl);
             assert_eq!(fr, kr, "substrates diverged on {fl}");
@@ -309,12 +291,5 @@ mod tests {
         let merged = slots.finish().unwrap();
         assert_eq!(merged[0].0, "a");
         assert_eq!(merged[1].0, "b");
-    }
-
-    #[test]
-    fn auto_sweep_matches_explicit_thread_count() {
-        let auto = run_sweep_auto(grid());
-        let serial = run_sweep(grid(), 1);
-        assert_eq!(auto, serial);
     }
 }

@@ -1,19 +1,42 @@
 //! Differential oracle for the simulation fast path.
 //!
 //! [`Experiment::run`] schedules one completion prediction event per device
-//! (and host) per generation; [`Experiment::run_naive_events`] is the
-//! seed's per-offload scheme. The two must be *bit-identical* — same
+//! (and host) per generation; [`EventMode::PerOffload`] is the seed's
+//! per-offload scheme. The two must be *bit-identical* — same
 //! metrics, same trace, same audit — on arbitrary workloads, policies and
 //! cluster sizes. Any divergence means the fast path changed simulation
 //! semantics, not just simulation cost.
 
 use phishare_cluster::{
-    audit, ClusterConfig, Experiment, ExperimentScratch, FaultPlan, SubstrateMode,
+    audit, ClusterConfig, EventMode, Experiment, ExperimentResult, FaultPlan, RunOptions,
+    SubstrateMode, Trace,
 };
 use phishare_core::{ClusterPolicy, PlannerMode};
 use phishare_sim::SimDuration;
-use phishare_workload::{ArrivalProcess, WorkloadBuilder, WorkloadKind};
+use phishare_workload::{ArrivalProcess, Workload, WorkloadBuilder, WorkloadKind};
 use proptest::prelude::*;
+
+/// [`Experiment::run_with`] under `opts` with tracing switched on.
+fn traced(
+    cfg: &ClusterConfig,
+    wl: &Workload,
+    opts: RunOptions<'_>,
+) -> Result<(ExperimentResult, Trace), String> {
+    let opts = RunOptions {
+        trace: true,
+        ..opts
+    };
+    Experiment::run_with(cfg, wl, &opts).map(|(r, t)| (r, t.expect("tracing was enabled")))
+}
+
+/// Default options with an explicit fault plan on `substrate`.
+fn faulted(plan: &FaultPlan, substrate: SubstrateMode) -> RunOptions<'_> {
+    RunOptions {
+        faults: Some(plan),
+        substrate,
+        ..RunOptions::default()
+    }
+}
 
 fn arb_policy() -> impl Strategy<Value = ClusterPolicy> {
     prop_oneof![
@@ -50,7 +73,11 @@ proptest! {
         cfg.knapsack.window = 64;
 
         let fast = Experiment::run_traced(&cfg, &wl);
-        let naive = Experiment::run_naive_events_traced(&cfg, &wl);
+        let per_offload = RunOptions {
+            events: EventMode::PerOffload,
+            ..RunOptions::default()
+        };
+        let naive = traced(&cfg, &wl, per_offload);
         match (fast, naive) {
             (Ok((fast_result, fast_trace)), Ok((naive_result, naive_trace))) => {
                 prop_assert_eq!(
@@ -91,7 +118,8 @@ proptest! {
         cfg.knapsack.window = 64;
 
         let plain = Experiment::run_traced(&cfg, &wl);
-        let empty = Experiment::run_with_faults_traced(&cfg, &wl, &FaultPlan::empty());
+        let empty_plan = FaultPlan::empty();
+        let empty = traced(&cfg, &wl, faulted(&empty_plan, SubstrateMode::Fast));
         match (plain, empty) {
             (Ok((pr, pt)), Ok((er, et))) => {
                 prop_assert_eq!(&pr, &er, "empty plan perturbed the metrics");
@@ -126,8 +154,9 @@ proptest! {
         cfg.faults.horizon_secs = 500.0;
         let plan = FaultPlan::generate(&cfg);
 
-        let fast = Experiment::run_with_faults_traced(&cfg, &wl, &plan);
-        let naive = Experiment::run_naive_events_with_faults_traced(&cfg, &wl, &plan);
+        let fast_opts = faulted(&plan, SubstrateMode::Fast);
+        let fast = traced(&cfg, &wl, fast_opts);
+        let naive = traced(&cfg, &wl, RunOptions { events: EventMode::PerOffload, ..fast_opts });
         match (fast, naive) {
             (Ok((fr, ft)), Ok((nr, nt))) => {
                 prop_assert_eq!(&fr, &nr, "fault metrics diverged across event modes");
@@ -177,8 +206,8 @@ proptest! {
             FaultPlan::empty()
         };
 
-        let fast = Experiment::run_with_faults_traced(&fast_cfg, &wl, &plan);
-        let naive = Experiment::run_with_faults_traced(&naive_cfg, &wl, &plan);
+        let fast = traced(&fast_cfg, &wl, faulted(&plan, SubstrateMode::Fast));
+        let naive = traced(&naive_cfg, &wl, faulted(&plan, SubstrateMode::Fast));
         match (fast, naive) {
             (Ok((mut fr, ft)), Ok((mut nr, nt))) => {
                 fr.plan_cache_hits = 0;
@@ -229,10 +258,8 @@ proptest! {
             FaultPlan::empty()
         };
 
-        let fast =
-            Experiment::run_with_substrate_faults_traced(&cfg, &wl, &plan, SubstrateMode::Fast);
-        let keyed =
-            Experiment::run_with_substrate_faults_traced(&cfg, &wl, &plan, SubstrateMode::Keyed);
+        let fast = traced(&cfg, &wl, faulted(&plan, SubstrateMode::Fast));
+        let keyed = traced(&cfg, &wl, faulted(&plan, SubstrateMode::Keyed));
         match (fast, keyed) {
             (Ok((fr, ft)), Ok((kr, kt))) => {
                 prop_assert_eq!(&fr, &kr, "metrics diverged across substrates");
@@ -243,30 +270,6 @@ proptest! {
             (fast, keyed) => {
                 prop_assert_eq!(fast.map(|(r, _)| r), keyed.map(|(r, _)| r));
             }
-        }
-    }
-
-    /// Recycling one worker's scratch buffers across an arbitrary sequence
-    /// of cells never perturbs any cell's result: each run through a dirty
-    /// scratch equals a fresh run of the same cell.
-    #[test]
-    fn scratch_recycled_runs_are_bit_identical(
-        cells in prop::collection::vec(
-            (arb_policy(), 2u32..=3, 6usize..=16, 0u64..200),
-            2..5,
-        ),
-    ) {
-        let mut scratch = ExperimentScratch::new();
-        for (policy, nodes, jobs, seed) in cells {
-            let wl = WorkloadBuilder::new(WorkloadKind::Table1Mix)
-                .count(jobs)
-                .seed(seed)
-                .build();
-            let mut cfg = ClusterConfig::paper_cluster(policy).with_nodes(nodes);
-            cfg.knapsack.window = 64;
-            let fresh = Experiment::run(&cfg, &wl);
-            let recycled = Experiment::run_with_scratch(&cfg, &wl, &mut scratch);
-            prop_assert_eq!(fresh, recycled, "recycled scratch perturbed a cell");
         }
     }
 }

@@ -73,7 +73,7 @@
 //!   is the newest certificate any member holds. Phase 2 therefore screens
 //!   once per cluster: over `dirty_since(c_max)` (or the cluster's narrow
 //!   prefilter), or over the indexed pool when no member holds a
-//!   certificate. [`best_among`] gives the same winner over any superset
+//!   certificate. `best_among` gives the same winner over any superset
 //!   of the admitters, so the screen is each member's exact snapshot
 //!   winner.
 //! * **The commit memo.** Phase 3 keeps one memo per cluster: `(seq,
@@ -126,7 +126,7 @@
 //!
 //! When the collector is partitioned ([`Collector::with_partitions`]), the
 //! delta path swaps the cluster-sharded screen for a *partition-parallel*
-//! one: each cluster first compiles a [`ScreenPlan`] — pin resolution,
+//! one: each cluster first compiles a `ScreenPlan` — pin resolution,
 //! guard-index selection, and the selectivity probe hoisted out of the
 //! per-partition loop — and then every partition screens all clusters against
 //! only its own slots (its dirty shard, its slice of the guard index, its
@@ -316,7 +316,7 @@ impl Negotiator {
     }
 
     /// Job shards the P = 1 delta screen fans out over (the configured
-    /// override, else [`default_shards`]). Benches record this in their
+    /// override, else `default_shards`). Benches record this in their
     /// committed knob blocks.
     pub fn shard_count(&self) -> usize {
         self.shards.unwrap_or_else(default_shards)
@@ -352,28 +352,6 @@ impl Negotiator {
             MatchPath::Delta => self.delta_cycle(queue, collector),
             MatchPath::Full => full_cycle(queue, collector),
         }
-    }
-
-    /// The compiled full-rematch fast path (see module docs); it clones no
-    /// ads and reuses one candidate buffer across all jobs of the cycle.
-    pub fn negotiate_full_with_stats(
-        &self,
-        queue: &mut JobQueue,
-        collector: &mut Collector,
-    ) -> (Vec<Match>, CycleStats) {
-        let (matches, stats, _) = full_cycle(queue, collector);
-        (matches, stats)
-    }
-
-    /// The incremental delta path (see module docs for the three phases,
-    /// autoclusters and the exactness argument).
-    pub fn negotiate_delta_with_stats(
-        &self,
-        queue: &mut JobQueue,
-        collector: &mut Collector,
-    ) -> (Vec<Match>, CycleStats) {
-        let (matches, stats, _) = self.delta_cycle(queue, collector);
-        (matches, stats)
     }
 
     fn delta_cycle(
@@ -1413,8 +1391,12 @@ mod tests {
         let (mut q_full, mut c_full) = build();
         let (mut q_naive, mut c_naive) = build();
         let n = Negotiator::default();
-        let delta = n.negotiate_delta_with_stats(&mut q_delta, &mut c_delta);
-        let full = n.negotiate_full_with_stats(&mut q_full, &mut c_full);
+        let delta = n
+            .with_path(MatchPath::Delta)
+            .negotiate_with_stats(&mut q_delta, &mut c_delta);
+        let full = n
+            .with_path(MatchPath::Full)
+            .negotiate_with_stats(&mut q_full, &mut c_full);
         let naive = n.negotiate_naive_with_stats(&mut q_naive, &mut c_naive);
         assert_eq!(delta, full);
         assert_eq!(full, naive);
@@ -1470,8 +1452,12 @@ mod tests {
                         .unwrap();
                 }
             }
-            let delta = n.negotiate_delta_with_stats(&mut q_delta, &mut c_delta);
-            let full = n.negotiate_full_with_stats(&mut q_full, &mut c_full);
+            let delta = n
+                .with_path(MatchPath::Delta)
+                .negotiate_with_stats(&mut q_delta, &mut c_delta);
+            let full = n
+                .with_path(MatchPath::Full)
+                .negotiate_with_stats(&mut q_full, &mut c_full);
             assert_eq!(delta, full, "round {round}");
             assert_eq!(c_delta, c_full, "round {round}");
             assert_eq!(q_delta.pending(), q_full.pending(), "round {round}");
@@ -1579,7 +1565,10 @@ mod tests {
                 }
                 _ => {}
             }
-            cycles.push(n.negotiate_delta_with_stats(&mut q, &mut c));
+            cycles.push(
+                n.with_path(MatchPath::Delta)
+                    .negotiate_with_stats(&mut q, &mut c),
+            );
         }
         (cycles, c, q.pending())
     }
@@ -1626,16 +1615,24 @@ mod tests {
 
         // Cycle 1 matches two jobs and certifies the rest — not quiescent.
         assert!(!Negotiator::cycle_is_quiescent(&q_fast, &c_fast));
-        let first_fast = fast.negotiate_delta_with_stats(&mut q_fast, &mut c_fast);
-        let first_slow = slow.negotiate_delta_with_stats(&mut q_slow, &mut c_slow);
+        let first_fast = fast
+            .with_path(MatchPath::Delta)
+            .negotiate_with_stats(&mut q_fast, &mut c_fast);
+        let first_slow = slow
+            .with_path(MatchPath::Delta)
+            .negotiate_with_stats(&mut q_slow, &mut c_slow);
         assert_eq!(first_fast, first_slow);
         assert_eq!(first_fast.0.len(), 2);
 
         // No churn since: provably quiescent, and the skipped cycle is
         // bit-identical to the executed one — stats, certificates, pool.
         assert!(Negotiator::cycle_is_quiescent(&q_fast, &c_fast));
-        let second_fast = fast.negotiate_delta_with_stats(&mut q_fast, &mut c_fast);
-        let second_slow = slow.negotiate_delta_with_stats(&mut q_slow, &mut c_slow);
+        let second_fast = fast
+            .with_path(MatchPath::Delta)
+            .negotiate_with_stats(&mut q_fast, &mut c_fast);
+        let second_slow = slow
+            .with_path(MatchPath::Delta)
+            .negotiate_with_stats(&mut q_slow, &mut c_slow);
         assert_eq!(second_fast, second_slow);
         assert_eq!(second_fast.1.considered, 2);
         assert_eq!(second_fast.1.unmatched, 2);
@@ -1655,8 +1652,12 @@ mod tests {
             c.refresh_phi_availability(slot, 7680, 1);
             assert!(!Negotiator::cycle_is_quiescent(q, c));
         }
-        let third_fast = fast.negotiate_delta_with_stats(&mut q_fast, &mut c_fast);
-        let third_slow = slow.negotiate_delta_with_stats(&mut q_slow, &mut c_slow);
+        let third_fast = fast
+            .with_path(MatchPath::Delta)
+            .negotiate_with_stats(&mut q_fast, &mut c_fast);
+        let third_slow = slow
+            .with_path(MatchPath::Delta)
+            .negotiate_with_stats(&mut q_slow, &mut c_slow);
         assert_eq!(third_fast, third_slow);
         assert_eq!(third_fast.0.len(), 1);
         assert_eq!(c_fast, c_slow);
@@ -1673,7 +1674,9 @@ mod tests {
         // An uncertified arrival must force an executed cycle.
         assert!(!Negotiator::cycle_is_quiescent(&q, &c));
         let n = Negotiator::default();
-        let (matches, stats) = n.negotiate_delta_with_stats(&mut q, &mut c);
+        let (matches, stats) = n
+            .with_path(MatchPath::Delta)
+            .negotiate_with_stats(&mut q, &mut c);
         assert!(matches.is_empty());
         assert_eq!(stats.considered, 1);
         // Now certified against a still pool: quiescent until churn.

@@ -1,18 +1,18 @@
 //! Differential property tests for the matchmaking paths.
 //!
 //! The negotiator has three implementations: the incremental delta path
-//! (`negotiate_delta_with_stats`, the default), the compiled/indexed
-//! full-rematch fast path (`negotiate_full_with_stats`), and the retained
-//! naive reference that re-parses and re-evaluates every (job, slot) pair
-//! (`negotiate_naive_with_stats`). These tests drive all of them over
-//! randomized clusters, job mixes, and churn sequences and require
-//! *identical* results: same matches in the same order, same cycle stats,
-//! same final collector state (including the in-cycle resource decrements
-//! and every index), and same queue state.
+//! (`MatchPath::Delta`, the default), the compiled/indexed full-rematch
+//! fast path (`MatchPath::Full`), both selected with `with_path`, and the
+//! retained naive reference that re-parses and re-evaluates every
+//! (job, slot) pair (`negotiate_naive_with_stats`). These tests drive all
+//! of them over randomized clusters, job mixes, and churn sequences and
+//! require *identical* results: same matches in the same order, same cycle
+//! stats, same final collector state (including the in-cycle resource
+//! decrements and every index), and same queue state.
 
 use phishare_classad::ad::{RANK, REQUIREMENTS};
 use phishare_condor::attrs;
-use phishare_condor::{Collector, JobQueue, Negotiator, SlotId};
+use phishare_condor::{Collector, JobQueue, MatchPath, Negotiator, SlotId};
 use phishare_sim::SimTime;
 use phishare_workload::JobId;
 use proptest::prelude::*;
@@ -299,8 +299,8 @@ proptest! {
         prop_assert_eq!(&c_delta, &c_naive, "builders must start equal");
 
         let negotiator = Negotiator::default();
-        let delta = negotiator.negotiate_delta_with_stats(&mut q_delta, &mut c_delta);
-        let full = negotiator.negotiate_full_with_stats(&mut q_full, &mut c_full);
+        let delta = negotiator.with_path(MatchPath::Delta).negotiate_with_stats(&mut q_delta, &mut c_delta);
+        let full = negotiator.with_path(MatchPath::Full).negotiate_with_stats(&mut q_full, &mut c_full);
         let naive = negotiator.negotiate_naive_with_stats(&mut q_naive, &mut c_naive);
 
         prop_assert_eq!(&delta, &full, "delta diverged from full oracle");
@@ -326,8 +326,8 @@ proptest! {
         let (mut q_naive, mut c_naive) = build(&nodes, &jobs, &[]);
         let negotiator = Negotiator::default();
 
-        let first_delta = negotiator.negotiate_delta_with_stats(&mut q_delta, &mut c_delta);
-        let first_full = negotiator.negotiate_full_with_stats(&mut q_full, &mut c_full);
+        let first_delta = negotiator.with_path(MatchPath::Delta).negotiate_with_stats(&mut q_delta, &mut c_delta);
+        let first_full = negotiator.with_path(MatchPath::Full).negotiate_with_stats(&mut q_full, &mut c_full);
         let first_naive = negotiator.negotiate_naive_with_stats(&mut q_naive, &mut c_naive);
         prop_assert_eq!(&first_delta, &first_full);
         prop_assert_eq!(&first_full, &first_naive);
@@ -344,8 +344,8 @@ proptest! {
             c_naive.release(slot);
         }
 
-        let second_delta = negotiator.negotiate_delta_with_stats(&mut q_delta, &mut c_delta);
-        let second_full = negotiator.negotiate_full_with_stats(&mut q_full, &mut c_full);
+        let second_delta = negotiator.with_path(MatchPath::Delta).negotiate_with_stats(&mut q_delta, &mut c_delta);
+        let second_full = negotiator.with_path(MatchPath::Full).negotiate_with_stats(&mut q_full, &mut c_full);
         let second_naive = negotiator.negotiate_naive_with_stats(&mut q_naive, &mut c_naive);
         prop_assert_eq!(&second_delta, &second_full);
         prop_assert_eq!(&second_full, &second_naive);
@@ -377,8 +377,8 @@ proptest! {
             }
             prop_assert_eq!(&c_delta, &c_full, "churn diverged before round {}", r);
 
-            let delta = negotiator.negotiate_delta_with_stats(&mut q_delta, &mut c_delta);
-            let full = negotiator.negotiate_full_with_stats(&mut q_full, &mut c_full);
+            let delta = negotiator.with_path(MatchPath::Delta).negotiate_with_stats(&mut q_delta, &mut c_delta);
+            let full = negotiator.with_path(MatchPath::Full).negotiate_with_stats(&mut q_full, &mut c_full);
             prop_assert_eq!(&delta, &full, "round {} matches diverged", r);
             prop_assert_eq!(&c_delta, &c_full, "round {} collectors diverged", r);
             prop_assert_eq!(q_delta.pending(), q_full.pending(), "round {} pending diverged", r);
@@ -414,7 +414,7 @@ proptest! {
                 for op in ops {
                     apply_churn(op, queue, collector, next_id);
                 }
-                outcomes.push(negotiator.negotiate_delta_with_stats(queue, collector));
+                outcomes.push(negotiator.with_path(MatchPath::Delta).negotiate_with_stats(queue, collector));
             }
             for (i, outcome) in outcomes.iter().enumerate().skip(1) {
                 prop_assert_eq!(
@@ -510,10 +510,7 @@ fn same_cycle_coherence_holds_for_arbitrary_guard_indexed_attrs() {
         (queue, collector)
     };
 
-    for path in [
-        phishare_condor::MatchPath::Delta,
-        phishare_condor::MatchPath::Full,
-    ] {
+    for path in [MatchPath::Delta, phishare_condor::MatchPath::Full] {
         let (mut queue, mut collector) = build();
         let negotiator = Negotiator::default().with_path(path);
         let (matches, stats) = negotiator.negotiate_with_stats(&mut queue, &mut collector);
@@ -806,8 +803,8 @@ proptest! {
                     apply_cluster_op(op, queue, collector, next_id);
                 }
                 outcomes.push(match t {
-                    t if t < oracle => negotiator.negotiate_delta_with_stats(queue, collector),
-                    t if t == oracle => negotiator.negotiate_full_with_stats(queue, collector),
+                    t if t < oracle => negotiator.with_path(MatchPath::Delta).negotiate_with_stats(queue, collector),
+                    t if t == oracle => negotiator.with_path(MatchPath::Full).negotiate_with_stats(queue, collector),
                     _ => negotiator.negotiate_naive_with_stats(queue, collector),
                 });
             }
@@ -851,10 +848,7 @@ fn slot_requirements_widen_the_autocluster_key() {
         "same base key"
     );
     assert_eq!(c.slot_job_refs().collect::<Vec<_>>(), vec!["tier"]);
-    for path in [
-        phishare_condor::MatchPath::Delta,
-        phishare_condor::MatchPath::Full,
-    ] {
+    for path in [MatchPath::Delta, phishare_condor::MatchPath::Full] {
         let (mut q, mut c) = build();
         let (matches, stats, work) = Negotiator::default()
             .with_path(path)
@@ -865,7 +859,7 @@ fn slot_requirements_widen_the_autocluster_key() {
             "{path:?}"
         );
         assert_eq!(stats.unmatched, 1);
-        if path == phishare_condor::MatchPath::Delta {
+        if path == MatchPath::Delta {
             assert_eq!(work.autoclusters, 2, "the guarded slot splits the tiers");
         }
     }

@@ -86,33 +86,6 @@ impl<E> Sim<E> {
         }
     }
 
-    /// Create a simulator on a recycled event queue: the queue is
-    /// [`EventQueue::reset`] (dropping any leftovers, restarting sequence
-    /// numbering, keeping the heap allocation) and the clock starts at
-    /// [`SimTime::ZERO`]. Behaviour is bit-identical to [`Sim::new`]; only
-    /// the allocation is reused. The queue can be reclaimed afterwards with
-    /// [`Sim::into_queue`].
-    pub fn from_recycled(mut queue: EventQueue<E>) -> Self {
-        queue.reset();
-        Sim {
-            now: SimTime::ZERO,
-            queue,
-            events_processed: 0,
-            event_budget: DEFAULT_EVENT_BUDGET,
-        }
-    }
-
-    /// Tear the simulator down to its event queue so the heap allocation
-    /// can be recycled into the next run via [`Sim::from_recycled`].
-    pub fn into_queue(self) -> EventQueue<E> {
-        self.queue
-    }
-
-    /// Grow the event queue for at least `additional` more pending events.
-    pub fn reserve(&mut self, additional: usize) {
-        self.queue.reserve(additional);
-    }
-
     /// Replace the runaway-guard event budget.
     pub fn with_event_budget(mut self, budget: u64) -> Self {
         self.event_budget = budget;

@@ -95,11 +95,6 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Grow the backing storage for at least `additional` more events.
-    pub fn reserve(&mut self, additional: usize) {
-        self.heap.reserve(additional);
-    }
-
     /// Events the queue can hold before reallocating.
     pub fn capacity(&self) -> usize {
         self.heap.capacity()
@@ -155,17 +150,6 @@ impl<E> EventQueue<E> {
     /// Drop all pending events (sequence numbering continues monotonically).
     pub fn clear(&mut self) {
         self.heap.clear();
-    }
-
-    /// Reset the queue to its freshly-constructed state — empty, sequence
-    /// numbering restarted, stale counter zeroed — while keeping the heap's
-    /// allocation. This is the cross-run recycling hook: a simulation built
-    /// on a reset queue behaves bit-identically to one built on
-    /// [`EventQueue::new`], but pays no growth reallocations.
-    pub fn reset(&mut self) {
-        self.heap.clear();
-        self.next_seq = 0;
-        self.stale_drained = 0;
     }
 }
 
@@ -261,8 +245,6 @@ mod tests {
         // Clearing keeps the allocation: a cancelled generation costs no
         // reallocation when the next one fills back up.
         assert_eq!(q.capacity(), cap);
-        q.reserve(128);
-        assert!(q.capacity() >= 128);
     }
 
     #[test]

@@ -15,8 +15,9 @@
 
 use phishare::cluster::report::{pct, secs, table};
 use phishare::cluster::{
-    footprint_search, CellRecord, ClusterConfig, DevicePool, Experiment, FaultPlan, PerturbConfig,
-    PerturbPlan, ShardOptions, SubstrateMode, SweepJob,
+    default_threads, footprint_search, run_sweep_with, CellRecord, ClusterConfig, DevicePool,
+    Experiment, FaultPlan, PerturbConfig, PerturbPlan, RunOptions, ShardOptions, SubstrateMode,
+    SweepJob,
 };
 use phishare::condor::MatchPath;
 use phishare::core::ClusterPolicy;
@@ -229,16 +230,16 @@ fn cmd_run(flags: &Flags) -> Result<(), String> {
     let substrate: SubstrateMode = flags.get("substrate", SubstrateMode::Fast)?;
     let plans = chaos_plans(flags, &config)?;
 
-    if flags.has("gantt") {
-        if substrate != SubstrateMode::Fast {
-            return Err("--gantt only supports the default substrate".into());
-        }
-        let (result, trace) = match &plans {
-            Some((faults, perturbs)) => {
-                Experiment::run_chaos_traced(&config, &workload, faults, perturbs, substrate)?
-            }
-            None => Experiment::run_traced(&config, &workload)?,
-        };
+    let opts = RunOptions {
+        faults: plans.as_ref().map(|(faults, _)| faults),
+        perturbs: plans.as_ref().map(|(_, perturbs)| perturbs),
+        substrate,
+        trace: flags.has("gantt"),
+        ..RunOptions::default()
+    };
+    let (result, trace) = Experiment::run_with(&config, &workload, &opts)?;
+
+    if let Some(trace) = trace {
         println!("{}", table(&RESULT_HEADER, &[result_row(&result)]));
         print!("{}", trace.node_gantt(96));
         let violations = phishare::cluster::audit(&config, &workload, &result, &trace);
@@ -252,12 +253,6 @@ fn cmd_run(flags: &Flags) -> Result<(), String> {
         }
         return Ok(());
     }
-    let result = match &plans {
-        Some((faults, perturbs)) => {
-            Experiment::run_chaos_traced(&config, &workload, faults, perturbs, substrate)?.0
-        }
-        None => Experiment::run_with_substrate(&config, &workload, substrate)?,
-    };
     if flags.has("json") {
         println!(
             "{}",
@@ -383,7 +378,7 @@ fn cmd_sweep(flags: &Flags) -> Result<(), String> {
     let workers: usize = flags.get("workers", 0)?;
     let results = if workers == 0 {
         // In-process thread sweep (the sharded path is bit-identical).
-        phishare::cluster::sweep::run_sweep_substrate_auto(grid, substrate)
+        run_sweep_with(grid, default_threads(), substrate)
     } else {
         let opts = ShardOptions {
             workers,

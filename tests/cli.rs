@@ -134,3 +134,25 @@ fn help_prints_usage() {
     assert!(out.status.success());
     assert!(String::from_utf8_lossy(&out.stdout).contains("USAGE"));
 }
+
+#[test]
+fn gantt_self_check_passes_on_non_default_substrates() {
+    for substrate in ["keyed", "shared"] {
+        let out = phishare(&[
+            "run",
+            "--policy",
+            "mcck",
+            "--jobs",
+            "20",
+            "--nodes",
+            "2",
+            "--substrate",
+            substrate,
+            "--gantt",
+        ]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{substrate}: {stderr}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.contains("self-check: OK"), "{substrate}:\n{stdout}");
+    }
+}

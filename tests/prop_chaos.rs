@@ -14,11 +14,33 @@
 //! committed file via `phishare run --fault-plan/--perturb-plan`.
 
 use phishare::cluster::fault::{FaultEvent, FaultKind, FaultPlan};
-use phishare::cluster::{audit, ClusterConfig, Experiment, PerturbConfig, PerturbPlan};
+use phishare::cluster::{
+    audit, ClusterConfig, Experiment, ExperimentResult, PerturbConfig, PerturbPlan, RunOptions,
+    SubstrateMode, Trace,
+};
 use phishare::core::ClusterPolicy;
 use phishare::sim::{SimDuration, SimTime};
-use phishare::workload::{ArrivalProcess, WorkloadBuilder, WorkloadKind};
+use phishare::workload::{ArrivalProcess, Workload, WorkloadBuilder, WorkloadKind};
 use proptest::prelude::*;
+
+/// One traced run under an explicit fault plan on `substrate`;
+/// `perturbs: None` derives the perturbation plan from the config.
+fn traced(
+    cfg: &ClusterConfig,
+    wl: &Workload,
+    faults: &FaultPlan,
+    perturbs: Option<&PerturbPlan>,
+    substrate: SubstrateMode,
+) -> Result<(ExperimentResult, Trace), String> {
+    let opts = RunOptions {
+        faults: Some(faults),
+        perturbs,
+        substrate,
+        trace: true,
+        ..RunOptions::default()
+    };
+    Experiment::run_with(cfg, wl, &opts).map(|(r, t)| (r, t.expect("tracing was enabled")))
+}
 
 fn arb_policy() -> impl Strategy<Value = ClusterPolicy> {
     prop::sample::select(vec![
@@ -170,7 +192,7 @@ proptest! {
 
         // The runtime's own post-drain checks already fail the run on any
         // capacity leak or live job, so an Ok here is itself an invariant.
-        let (r, trace) = Experiment::run_with_faults_traced(&cfg, &wl, &plan)
+        let (r, trace) = traced(&cfg, &wl, &plan, None, SubstrateMode::Fast)
             .expect("chaos run must drain cleanly");
 
         // Conservation: every submitted job ends exactly one way.
@@ -222,10 +244,10 @@ proptest! {
         let plan = FaultPlan { events };
 
         cfg.negotiation = phishare::condor::MatchPath::Delta;
-        let (delta, _) = Experiment::run_with_faults_traced(&cfg, &wl, &plan)
+        let (delta, _) = traced(&cfg, &wl, &plan, None, SubstrateMode::Fast)
             .expect("delta run must drain cleanly");
         cfg.negotiation = phishare::condor::MatchPath::Full;
-        let (full, _) = Experiment::run_with_faults_traced(&cfg, &wl, &plan)
+        let (full, _) = traced(&cfg, &wl, &plan, None, SubstrateMode::Fast)
             .expect("full run must drain cleanly");
 
         prop_assert_eq!(delta, full, "delta and full experiments diverged");
@@ -270,15 +292,13 @@ proptest! {
         let perturb_plan = PerturbPlan::generate(&cfg);
 
         cfg.skip_quiescent = true;
-        let (skip, skip_trace) = Experiment::run_chaos_traced(
-            &cfg, &wl, &fault_plan, &perturb_plan, phishare::cluster::SubstrateMode::Fast,
-        )
-        .expect("skip-on chaos run must drain cleanly");
+        let (skip, skip_trace) =
+            traced(&cfg, &wl, &fault_plan, Some(&perturb_plan), SubstrateMode::Fast)
+                .expect("skip-on chaos run must drain cleanly");
         cfg.skip_quiescent = false;
-        let (full, full_trace) = Experiment::run_chaos_traced(
-            &cfg, &wl, &fault_plan, &perturb_plan, phishare::cluster::SubstrateMode::Fast,
-        )
-        .expect("skip-off chaos run must drain cleanly");
+        let (full, full_trace) =
+            traced(&cfg, &wl, &fault_plan, Some(&perturb_plan), SubstrateMode::Fast)
+                .expect("skip-off chaos run must drain cleanly");
 
         if skip != full || skip_trace.events != full_trace.events {
             dump_artifact("quiescence_bit_identity", &cfg, &fault_plan, &perturb_plan);
@@ -332,14 +352,10 @@ proptest! {
         events.sort_by_key(|f| (f.at, f.node, f.device, f.kind as u8));
         let plan = FaultPlan { events };
 
-        let (heap, heap_trace) = Experiment::run_with_substrate_faults_traced(
-            &cfg, &wl, &plan, phishare::cluster::SubstrateMode::Shared,
-        )
-        .expect("shared run must drain cleanly");
-        let (naive, naive_trace) = Experiment::run_with_substrate_faults_traced(
-            &cfg, &wl, &plan, phishare::cluster::SubstrateMode::SharedNaive,
-        )
-        .expect("naive shared run must drain cleanly");
+        let (heap, heap_trace) = traced(&cfg, &wl, &plan, None, SubstrateMode::Shared)
+            .expect("shared run must drain cleanly");
+        let (naive, naive_trace) = traced(&cfg, &wl, &plan, None, SubstrateMode::SharedNaive)
+            .expect("naive shared run must drain cleanly");
 
         prop_assert_eq!(heap, naive, "shared engines diverged under faults");
         prop_assert_eq!(
@@ -387,13 +403,13 @@ proptest! {
         let perturb_plan = PerturbPlan::generate(&cfg);
 
         let run = |mode| {
-            Experiment::run_chaos_traced(&cfg, &wl, &fault_plan, &perturb_plan, mode)
+            traced(&cfg, &wl, &fault_plan, Some(&perturb_plan), mode)
                 .expect("chaos run must drain cleanly")
         };
-        let (fast, fast_trace) = run(phishare::cluster::SubstrateMode::Fast);
-        let (keyed, keyed_trace) = run(phishare::cluster::SubstrateMode::Keyed);
-        let (shared, shared_trace) = run(phishare::cluster::SubstrateMode::Shared);
-        let (naive, naive_trace) = run(phishare::cluster::SubstrateMode::SharedNaive);
+        let (fast, fast_trace) = run(SubstrateMode::Fast);
+        let (keyed, keyed_trace) = run(SubstrateMode::Keyed);
+        let (shared, shared_trace) = run(SubstrateMode::Shared);
+        let (naive, naive_trace) = run(SubstrateMode::SharedNaive);
 
         let pair_ok = fast == keyed
             && fast_trace.events == keyed_trace.events
