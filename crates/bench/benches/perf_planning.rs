@@ -14,10 +14,13 @@
 //!
 //! Emits `BENCH_planning.json` (under `target/experiments/` and at the repo
 //! root) and **fails** if the measured speedup drops below the 3× acceptance
-//! floor, making this a regression gate, not just a report.
+//! floor, making this a regression gate, not just a report. Both planners
+//! run the same DP kernel, so the ratio alone cannot show a kernel speedup;
+//! the JSON also records the fast path's absolute `solves_per_sec` and the
+//! commit it measured.
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
-use phishare_bench::{persist_json, GateKnobs};
+use phishare_bench::{git_commit, persist_json, GateKnobs};
 use phishare_core::{
     ClusterScheduler, DeviceView, KnapsackConfig, KnapsackScheduler, PendingJob, Pin, PlanStats,
     PlannerMode,
@@ -141,6 +144,8 @@ fn replay(mode: PlannerMode) -> Replay {
 
 #[derive(Serialize)]
 struct PlanningBench {
+    /// Commit measured (`+dirty` when the tree had uncommitted changes).
+    commit: String,
     devices: u32,
     jobs: usize,
     window: usize,
@@ -151,6 +156,9 @@ struct PlanningBench {
     naive_ms: f64,
     /// Best-of-runs total `plan()` wall time, fast planner, ms.
     fast_ms: f64,
+    /// Per-device solves (memo hits plus DP runs) per second of fast-path
+    /// `plan()` time — the absolute throughput behind the ratio.
+    solves_per_sec: f64,
     speedup: f64,
     speedup_floor: f64,
     pins_issued: usize,
@@ -181,7 +189,9 @@ fn gate() -> PlanningBench {
         fast_ms = fast_ms.min(replay(PlannerMode::Fast).plan_ms);
     }
 
+    let solves = fast.stats.cache_hits + fast.stats.cache_misses;
     PlanningBench {
+        commit: git_commit(),
         devices: DEVICES,
         jobs: JOBS,
         window: WINDOW,
@@ -190,6 +200,7 @@ fn gate() -> PlanningBench {
         fast_runs,
         naive_ms,
         fast_ms,
+        solves_per_sec: solves as f64 / (fast_ms / 1e3),
         speedup: naive_ms / fast_ms,
         speedup_floor: SPEEDUP_FLOOR,
         pins_issued,
@@ -265,8 +276,8 @@ fn main() {
         result.naive_runs, result.naive_ms, result.fast_runs, result.fast_ms, result.speedup
     );
     println!(
-        "solve memo: {} hits / {} misses",
-        result.plan_cache_hits, result.plan_cache_misses
+        "solve memo: {} hits / {} misses; fast path {:.0} solves/s at {}",
+        result.plan_cache_hits, result.plan_cache_misses, result.solves_per_sec, result.commit
     );
     persist_json("BENCH_planning", &result);
     // Also drop a copy at the repo root; the acceptance numbers are

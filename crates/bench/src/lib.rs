@@ -124,6 +124,30 @@ pub fn persist_json<T: Serialize>(name: &str, value: &T) {
     }
 }
 
+/// The commit a gate measured: `git rev-parse HEAD` of this checkout,
+/// suffixed `+dirty` when tracked files differ from it, or `"unknown"`
+/// outside a git checkout.
+pub fn git_commit() -> String {
+    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+    let git = |args: &[&str]| {
+        std::process::Command::new("git")
+            .arg("-C")
+            .arg(root)
+            .args(args)
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+    };
+    match git(&["rev-parse", "HEAD"]) {
+        Some(head) => match git(&["status", "--porcelain", "--untracked-files=no"]) {
+            Some(changes) if !changes.is_empty() => format!("{head}+dirty"),
+            _ => head,
+        },
+        None => "unknown".into(),
+    }
+}
+
 /// Standard banner for a bench harness.
 pub fn banner(id: &str, paper_ref: &str, expectation: &str) {
     println!("=== {id} — reproduces {paper_ref} ===");

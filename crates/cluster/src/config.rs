@@ -293,6 +293,7 @@ impl ClusterConfig {
         self.faults.validate()?;
         self.recovery.validate()?;
         self.perturb.validate()?;
+        self.knapsack.validate()?;
         if self.negotiation_interval.is_zero() {
             return Err("negotiation interval must be positive".into());
         }
@@ -399,6 +400,10 @@ mod tests {
                 c.perturb.latency.mean_gap_secs = 100.0;
                 c.perturb.latency.extra_secs = 0.0;
             },
+            |c: &mut ClusterConfig| c.knapsack.window = 0,
+            |c: &mut ClusterConfig| c.knapsack.granularity_mb = 0,
+            |c: &mut ClusterConfig| c.knapsack.thread_limit = 0,
+            |c: &mut ClusterConfig| c.knapsack.thread_overcommit = f64::INFINITY,
         ] {
             let mut c = ClusterConfig::default();
             f(&mut c);

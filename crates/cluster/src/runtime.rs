@@ -55,10 +55,11 @@ use crate::trace::{KillReason, Trace, TraceEvent};
 use phishare_condor::attrs;
 use phishare_condor::{Collector, JobQueue, Negotiator, SlotId, Startd};
 use phishare_core::{
-    ClairvoyantLpt, ClusterPolicy, ClusterScheduler, DeviceView, KnapsackScheduler, PendingJob,
-    Pin, RandomScheduler,
+    ClairvoyantLpt, ClusterPolicy, ClusterScheduler, DeviceView, KnapsackScheduler,
+    KnapsackVariant, PendingJob, Pin, RandomScheduler,
 };
 use phishare_cosmic::{Admission, ContainerVerdict, CosmicDevice, KeyedCosmicDevice, OffloadGrant};
+use phishare_knapsack::THREADS_PER_UNIT;
 use phishare_phi::{
     Affinity, CommitOutcome, KeyedPhiDevice, NaiveSharedDevice, PhiDevice, ProcId,
     SharedThroughputDevice,
@@ -327,14 +328,34 @@ impl Experiment {
         // Under a knapsack-family scheduler, a job whose declared threads
         // exceed the per-device thread budget can never be packed — reject
         // it up front instead of letting it starve in the queue forever.
+        // The budget is the overcommitted limit when resident threads count,
+        // and the bare limit otherwise. MCCK's 2-D DP packs threads in whole
+        // units, so there the budget rounds down to a unit, as memory rounds
+        // down to a granule, and a budget below one unit packs nothing.
+        let unit_packed = config.policy == ClusterPolicy::Mcck
+            && config.knapsack.variant == KnapsackVariant::TwoD;
         let thread_cap = match config.policy {
-            ClusterPolicy::Mcck | ClusterPolicy::Oracle
-                if config.knapsack.count_resident_threads =>
-            {
-                Some(
-                    (config.knapsack.thread_limit as f64 * config.knapsack.thread_overcommit)
-                        .round() as u32,
-                )
+            ClusterPolicy::Mcck | ClusterPolicy::Oracle => {
+                let k = &config.knapsack;
+                let cap = if k.count_resident_threads {
+                    (k.thread_limit as f64 * k.thread_overcommit).round() as u32
+                } else {
+                    k.thread_limit
+                };
+                Some(if unit_packed {
+                    cap / THREADS_PER_UNIT * THREADS_PER_UNIT
+                } else {
+                    cap
+                })
+            }
+            _ => None,
+        };
+        // MCCK packs memory in whole granules: the largest packable request
+        // is the usable memory rounded down to a granule.
+        let packable = match config.policy {
+            ClusterPolicy::Mcck => {
+                let g = config.knapsack.granularity_mb;
+                Some(usable / g * g)
             }
             _ => None,
         };
@@ -345,10 +366,20 @@ impl Experiment {
                     job.id, job.mem_req_mb
                 ));
             }
-            if let Some(cap) = thread_cap {
-                if job.thread_req > cap {
+            if let Some(packable) = packable {
+                if job.mem_req_mb > packable {
                     return Err(format!(
-                        "job {} declares {} threads but the scheduler's per-device                          thread budget is {cap}; it could never be placed",
+                        "job {} declares {} MB but the knapsack packs at most \
+                         {packable} MB per device; it could never be placed",
+                        job.id, job.mem_req_mb
+                    ));
+                }
+            }
+            if let Some(cap) = thread_cap {
+                if job.thread_req > cap || (unit_packed && cap == 0) {
+                    return Err(format!(
+                        "job {} declares {} threads but the scheduler's per-device \
+                         thread budget is {cap}; it could never be placed",
                         job.id, job.thread_req
                     ));
                 }
@@ -460,12 +491,20 @@ struct World<'a, D: DeviceSubstrate, C: CosmicSubstrate> {
     collector: Collector,
     negotiator: Negotiator,
     startds: Vec<Startd>,
+    /// Per startd: `(collector.node_seq, free memory, free devices)` as of
+    /// its last ad refresh. While the node's sequence number stands still
+    /// its slot ads still hold that pair, so an unchanged pair makes the
+    /// next refresh a provable no-op.
+    ads_synced: Vec<Option<(u64, u64, u32)>>,
     devices: BTreeMap<DevKey, D>,
     cosmic: BTreeMap<DevKey, C>,
     hosts: BTreeMap<u32, HostCpu>,
     scheduler: Option<Box<dyn ClusterScheduler>>,
     /// JobId → index into the workload.
     job_index: BTreeMap<JobId, usize>,
+    /// Each workload job's nominal duration in seconds, by workload index
+    /// (the profile sum the clairvoyant comparator reads every cycle).
+    nominal_secs: Vec<f64>,
     running: BTreeMap<JobId, RunningJob<D::Handle, C::Handle>>,
     /// Reusable buffer for collecting COSMIC grants (completion, kill and
     /// unregister paths); taken/restored around each use so the hot loop
@@ -622,12 +661,18 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
             negotiator: Negotiator::new(cfg.negotiation_interval)
                 .with_path(cfg.negotiation)
                 .with_quiescence(cfg.skip_quiescent),
+            ads_synced: vec![None; startds.len()],
             startds,
             devices,
             cosmic,
             hosts,
             scheduler,
             job_index,
+            nominal_secs: wl
+                .jobs
+                .iter()
+                .map(|j| j.nominal_duration().as_secs_f64())
+                .collect(),
             running: BTreeMap::new(),
             grants_buf: Vec::new(),
             matched_dev: BTreeMap::new(),
@@ -1746,12 +1791,13 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
             // scheduler must not plan them.
             .filter(|id| !self.parked.contains(id) && !self.retired.contains(id))
             .map(|id| {
-                let spec = &self.wl.jobs[self.job_index[&id]];
+                let idx = self.job_index[&id];
+                let spec = &self.wl.jobs[idx];
                 PendingJob {
                     id,
                     mem_mb: spec.mem_req_mb,
                     threads: spec.thread_req,
-                    nominal_secs: spec.nominal_duration().as_secs_f64(),
+                    nominal_secs: self.nominal_secs[idx],
                 }
             })
             .collect()
@@ -1789,7 +1835,7 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
 
     /// Refresh every node's slot ads from device ground truth.
     fn refresh_ads(&mut self) {
-        for startd in &self.startds {
+        for (startd, synced) in self.startds.iter().zip(&mut self.ads_synced) {
             let node = startd.node;
             if self.down_nodes.contains(&node) {
                 // A churned node has no ads to refresh; `refresh` would
@@ -1812,7 +1858,23 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
                     devices_free += 1;
                 }
             }
+            let seq = self.collector.node_seq(node);
+            if *synced == Some((seq, free_mem, devices_free)) {
+                // Debug builds refresh anyway and check nothing was written.
+                #[cfg(debug_assertions)]
+                {
+                    let before = self.collector.seq();
+                    startd.refresh(&mut self.collector, free_mem, devices_free);
+                    assert_eq!(
+                        self.collector.seq(),
+                        before,
+                        "skipped ad refresh of node {node} was not a no-op"
+                    );
+                }
+                continue;
+            }
             startd.refresh(&mut self.collector, free_mem, devices_free);
+            *synced = Some((self.collector.node_seq(node), free_mem, devices_free));
         }
     }
 
@@ -2215,6 +2277,100 @@ mod tests {
         assert!(err.contains("thread budget"), "{err}");
         // MCC has no knapsack thread filter; COSMIC clamps at admission, so
         // the same workload completes there.
+        let r = Experiment::run(&fast_config(ClusterPolicy::Mcc), &wl).unwrap();
+        assert_eq!(r.completed, 3);
+    }
+
+    #[test]
+    fn zero_knapsack_window_is_an_error_not_a_panic() {
+        let mut cfg = fast_config(ClusterPolicy::Mcck);
+        cfg.knapsack.window = 0;
+        let err = Experiment::run(&cfg, &small_workload(5, 3)).unwrap_err();
+        assert_eq!(err, "knapsack window must be positive");
+    }
+
+    #[test]
+    fn zero_knapsack_granularity_is_an_error_not_a_panic() {
+        let mut cfg = fast_config(ClusterPolicy::Mcck);
+        cfg.knapsack.granularity_mb = 0;
+        let err = Experiment::run(&cfg, &small_workload(5, 3)).unwrap_err();
+        assert_eq!(err, "knapsack granularity_mb must be positive");
+    }
+
+    #[test]
+    fn lax_thread_budget_rejects_unplaceable_jobs_up_front() {
+        // Without resident-thread counting the per-round budget is the bare
+        // thread limit; a job declaring more could never be packed and used
+        // to starve in the queue forever.
+        let wl = small_workload(20, 7);
+        let mut cfg = fast_config(ClusterPolicy::Mcck);
+        cfg.nodes = 2;
+        cfg.knapsack.count_resident_threads = false;
+        cfg.knapsack.thread_limit = 100;
+        let hog = wl
+            .jobs
+            .iter()
+            .find(|j| j.thread_req > 100)
+            .expect("Table I mix has jobs above 100 threads");
+        let err = Experiment::run(&cfg, &wl).unwrap_err();
+        assert_eq!(
+            err,
+            format!(
+                "job {} declares {} threads but the scheduler's per-device \
+                 thread budget is 100; it could never be placed",
+                hog.id, hog.thread_req
+            )
+        );
+    }
+
+    #[test]
+    fn thread_budget_rounds_down_to_whole_units_under_mcck() {
+        // The 2-D DP packs threads in 4-thread units: a 250-thread budget
+        // packs at most 248 threads, so a 250-thread job used to starve.
+        let mut wl = small_workload(3, 6);
+        wl.jobs[1].thread_req = 250;
+        let mut cfg = fast_config(ClusterPolicy::Mcck);
+        cfg.knapsack.count_resident_threads = false;
+        cfg.knapsack.thread_limit = 250;
+        let err = Experiment::run(&cfg, &wl).unwrap_err();
+        assert_eq!(
+            err,
+            format!(
+                "job {} declares 250 threads but the scheduler's per-device \
+                 thread budget is 248; it could never be placed",
+                wl.jobs[1].id
+            )
+        );
+        // Below one unit nothing packs, not even a host-only job.
+        cfg.knapsack.thread_limit = 3;
+        let mut wl = small_workload(1, 6);
+        wl.jobs[0].thread_req = 0;
+        wl.jobs[0]
+            .profile
+            .segments
+            .retain(|s| matches!(s, Segment::Host { .. }));
+        let err = Experiment::run(&cfg, &wl).unwrap_err();
+        assert!(
+            err.ends_with("thread budget is 0; it could never be placed"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn job_above_the_packable_granules_is_rejected_up_front_under_mcck() {
+        // 7 680 MB usable at 50 MB granules packs at most 7 650 MB; a
+        // 7 670 MB job fits the card but no knapsack, and used to starve.
+        let mut wl = small_workload(3, 6);
+        wl.jobs[1].mem_req_mb = 7670;
+        let err = Experiment::run(&fast_config(ClusterPolicy::Mcck), &wl).unwrap_err();
+        assert_eq!(
+            err,
+            format!(
+                "job {} declares 7670 MB but the knapsack packs at most \
+                 7650 MB per device; it could never be placed",
+                wl.jobs[1].id
+            )
+        );
         let r = Experiment::run(&fast_config(ClusterPolicy::Mcc), &wl).unwrap();
         assert_eq!(r.completed, 3);
     }

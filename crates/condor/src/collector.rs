@@ -340,6 +340,10 @@ struct Partition {
     /// (including node invalidations, which leave no dirty entry). Zero
     /// until something dirties the partition.
     watermark: u64,
+    /// Per node: the sequence number of its latest dirtying mutation or
+    /// invalidation — the [`Collector::node_seq`] behind no-op ad
+    /// refreshes.
+    node_stamp: BTreeMap<u32, u64>,
 }
 
 impl Partition {
@@ -471,6 +475,20 @@ impl Collector {
         }
         part.dirty.insert(seq, slot);
         part.watermark = seq;
+        part.node_stamp.insert(slot.node, seq);
+    }
+
+    /// The sequence number of the latest mutation that touched `node`'s
+    /// slots: every ad write that changes a value, every advertisement,
+    /// release and node invalidation advances it; claims and skipped
+    /// no-op writes do not. Zero for a node never touched. While it stands
+    /// still, every slot ad of the node is unchanged.
+    pub fn node_seq(&self, node: u32) -> u64 {
+        self.parts[self.part_of(node)]
+            .node_stamp
+            .get(&node)
+            .copied()
+            .unwrap_or(0)
     }
 
     /// The current mutation sequence number. A later call never returns a
@@ -906,6 +924,7 @@ impl Collector {
         if !ids.is_empty() {
             self.seq += 1;
             self.parts[pi].watermark = self.seq;
+            self.parts[pi].node_stamp.insert(node, self.seq);
         }
         ids.len()
     }
@@ -1410,5 +1429,33 @@ mod tests {
         assert_eq!(with_env_var(var, "6", default_partitions), 6);
         assert_eq!(with_env_var(var, "999", default_partitions), MAX_PARTITIONS);
         assert_eq!(with_env_var(var, "junk", default_partitions), 1);
+    }
+
+    #[test]
+    fn node_seq_tracks_changes_to_a_nodes_slot_ads() {
+        let mut c = Collector::with_partitions(2);
+        crate::Startd::new(1, 2, 1, 8192).advertise(&mut c, 7680, 1);
+        crate::Startd::new(2, 2, 1, 8192).advertise(&mut c, 7680, 1);
+        assert_eq!(c.node_seq(9), 0, "untouched node");
+        let (one, two) = (c.node_seq(1), c.node_seq(2));
+        assert!(one > 0 && two > one);
+        // Claims and no-op writes leave the node's ads alone.
+        assert!(c.claim(slot(1, 1)));
+        assert!(c.refresh_phi_availability(slot(1, 2), 7680, 1));
+        c.set_int_attr(slot(1, 2), attrs::PHI_FREE_MEMORY, 7680);
+        assert_eq!(c.node_seq(1), one);
+        // Every real change advances it, and only for its own node.
+        for change in [
+            |c: &mut Collector| c.set_int_attr(slot(1, 2), attrs::PHI_FREE_MEMORY, 100),
+            |c: &mut Collector| assert!(c.refresh_phi_availability(slot(1, 2), 7680, 0)),
+            |c: &mut Collector| c.release(slot(1, 1)),
+            |c: &mut Collector| crate::Startd::new(1, 2, 1, 8192).advertise(c, 7680, 1),
+            |c: &mut Collector| assert_eq!(c.invalidate_node(1), 2),
+        ] {
+            let before = c.node_seq(1);
+            change(&mut c);
+            assert!(c.node_seq(1) > before);
+            assert_eq!(c.node_seq(2), two);
+        }
     }
 }

@@ -177,6 +177,30 @@ impl Default for KnapsackConfig {
     }
 }
 
+impl KnapsackConfig {
+    /// Reject settings the planner cannot run with: an empty candidate
+    /// window, a zero memory granularity, a zero thread limit, or an
+    /// overcommit factor that is not a positive finite number.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.window == 0 {
+            return Err("knapsack window must be positive".into());
+        }
+        if self.granularity_mb == 0 {
+            return Err("knapsack granularity_mb must be positive".into());
+        }
+        if self.thread_limit == 0 {
+            return Err("knapsack thread_limit must be positive".into());
+        }
+        if !(self.thread_overcommit.is_finite() && self.thread_overcommit > 0.0) {
+            return Err(format!(
+                "knapsack thread_overcommit must be a positive finite number, got {}",
+                self.thread_overcommit
+            ));
+        }
+        Ok(())
+    }
+}
+
 /// Entries the solve cache holds before it is wholesale cleared. The cache
 /// is a pure memo (values never depend on cache state), so eviction is
 /// always safe — this only bounds memory on pathological workloads.
@@ -210,6 +234,9 @@ pub struct KnapsackScheduler {
     /// Jobs pinned but not yet dispatched, with their destination node and
     /// declared envelope (so per-node free capacity can be adjusted).
     outstanding: BTreeMap<JobId, OutstandingPin>,
+    /// Worker threads the speculative warm-up may use: the cores left
+    /// beside the planning thread.
+    warm_workers: usize,
     /// DP buffers reused across packing rounds (one knapsack per device per
     /// round; the table shapes repeat, so reuse eliminates the allocations).
     scratch: DpScratch,
@@ -240,6 +267,10 @@ impl KnapsackScheduler {
         KnapsackScheduler {
             cfg,
             outstanding: BTreeMap::new(),
+            warm_workers: std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1)
+                .saturating_sub(1),
             scratch: DpScratch::default(),
             cache: HashMap::new(),
             stats: PlanStats::default(),
@@ -431,7 +462,7 @@ impl KnapsackScheduler {
     /// Either way the pins are exactly the serial loop's — the cache only
     /// ever answers for a key it solved, wherever it was solved.
     fn warm_cache(&mut self, pending: &[PendingJob], order: &[&DeviceView]) {
-        if order.len() < 2 {
+        if order.len() < 2 || self.warm_workers < 2 {
             return;
         }
         let candidates = self.window_candidates(pending);
@@ -463,14 +494,7 @@ impl KnapsackScheduler {
         if tasks.len() < 2 || est_cells < PARALLEL_CELL_FLOOR {
             return;
         }
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .saturating_sub(1)
-            .min(tasks.len());
-        if workers < 2 {
-            return;
-        }
+        let workers = self.warm_workers.min(tasks.len());
 
         // sweep.rs's (index, result) channel pattern: scoped workers drain a
         // task channel, results reassemble by index.

@@ -20,7 +20,7 @@ use crate::value::ValueFunction;
 /// by core (4 hardware threads) exactly as memory is discretized by
 /// granularity; workloads request threads in multiples of 4, so this is
 /// lossless for them and conservative otherwise.
-pub(crate) const THREADS_PER_UNIT: u32 = 4;
+pub const THREADS_PER_UNIT: u32 = 4;
 
 /// Reusable buffers for the DP solvers. A scheduler calls the knapsack once
 /// per device per planning round; holding one `DpScratch` across calls
@@ -79,6 +79,26 @@ impl<'a> BitGrid<'a> {
         self.words[bit / 64] |= 1u64 << (bit % 64);
     }
 
+    /// OR a chunk of up to 64 bits into `item`'s layer, bit `j` of `mask`
+    /// landing on cell `cell + j`. The chunk may straddle a word boundary.
+    #[inline]
+    fn or_mask(&mut self, item: usize, cell: usize, mask: u64) {
+        if mask == 0 {
+            return;
+        }
+        let bit = item * self.cells_per_item + cell;
+        let (word, shift) = (bit / 64, bit % 64);
+        self.words[word] |= mask << shift;
+        if shift != 0 {
+            // Non-zero only when some set bit crosses into the next word,
+            // which then holds a real cell and so exists.
+            let spill = mask >> (64 - shift);
+            if spill != 0 {
+                self.words[word + 1] |= spill;
+            }
+        }
+    }
+
     #[inline]
     fn get(&self, item: usize, cell: usize) -> bool {
         let bit = item * self.cells_per_item + cell;
@@ -104,6 +124,22 @@ fn dp_core_2d(
     t_max: usize,
     scratch: &mut DpScratch,
 ) -> (Vec<usize>, f64) {
+    dp_core_2d_by(layers, w_max, t_max, scratch, relax_layer_2d)
+}
+
+/// Signature of one layer's in-place 0-1 update over the `dp` table:
+/// `(dp, taken, k, layer, w_max, stride)`.
+type Relax2 = fn(&mut [f64], &mut BitGrid<'_>, usize, &Layer2, usize, usize);
+
+/// [`dp_core_2d`] with the per-layer update passed in, so tests can run the
+/// same fill and reconstruction over the scalar oracle.
+fn dp_core_2d_by(
+    layers: &[Layer2],
+    w_max: usize,
+    t_max: usize,
+    scratch: &mut DpScratch,
+    relax: Relax2,
+) -> (Vec<usize>, f64) {
     let stride = t_max + 1;
     let cells = (w_max + 1) * stride;
     let DpScratch {
@@ -116,19 +152,7 @@ fn dp_core_2d(
     let mut taken = BitGrid::reset(words, words_hot, layers.len(), cells);
 
     for (k, it) in layers.iter().enumerate() {
-        // In-place 0-1 update: iterate capacities downward so each item is
-        // used at most once.
-        for w in (it.w..=w_max).rev() {
-            for t in (it.t..=t_max).rev() {
-                let from = (w - it.w) * stride + (t - it.t);
-                let here = w * stride + t;
-                let candidate = dp[from] + it.v;
-                if candidate > dp[here] {
-                    dp[here] = candidate;
-                    taken.set(k, here);
-                }
-            }
-        }
+        relax(dp, &mut taken, k, it, w_max, stride);
     }
 
     // Reconstruct from the full-capacity cell.
@@ -143,6 +167,85 @@ fn dp_core_2d(
         }
     }
     (selected, dp[cells - 1])
+}
+
+/// One layer of the 2-D DP, row by row. For an item with memory weight
+/// `w ≥ 1` the source row `w − it.w` lies below the destination row, and
+/// rows are visited in descending order, so the source still holds the
+/// previous layer's values: each row update is an elementwise
+/// `dst[i] = max(dst[i], src[i] + v)` over two disjoint contiguous slices,
+/// which [`relax_row`] runs branch-free. A memory-free item (`w = 0`)
+/// reads its own row and keeps the scalar loop.
+fn relax_layer_2d(
+    dp: &mut [f64],
+    taken: &mut BitGrid<'_>,
+    k: usize,
+    it: &Layer2,
+    w_max: usize,
+    stride: usize,
+) {
+    if it.w == 0 {
+        relax_layer_scalar(dp, taken, k, it, w_max, stride);
+        return;
+    }
+    let len = stride - it.t;
+    for w in (it.w..=w_max).rev() {
+        let (below, row) = dp.split_at_mut(w * stride);
+        let src = &below[(w - it.w) * stride..][..len];
+        let dst = &mut row[it.t..stride];
+        relax_row(dst, src, it.v, taken, k, w * stride + it.t);
+    }
+}
+
+/// `dst[i] = src[i] + v` wherever that is strictly larger, recording each
+/// improved cell's backtracking bit; `dst[0]` is cell `cell` of layer `k`.
+/// The comparisons of each 64-cell chunk are stored as 0/1 bytes and packed
+/// into one `u64` mask, so the inner loop is a select with no data-dependent
+/// branch.
+#[inline]
+fn relax_row(dst: &mut [f64], src: &[f64], v: f64, taken: &mut BitGrid<'_>, k: usize, cell: usize) {
+    for (c, (dst, src)) in dst.chunks_mut(64).zip(src.chunks(64)).enumerate() {
+        let mut flags = [0u8; 64];
+        for ((d, &s), f) in dst.iter_mut().zip(src).zip(flags.iter_mut()) {
+            let candidate = s + v;
+            let better = candidate > *d;
+            *d = if better { candidate } else { *d };
+            *f = u8::from(better);
+        }
+        let mut mask = 0u64;
+        // Byte j of `x` (0 or 1) times 2^(56 − 7j) lands on bit 56 + j;
+        // no two partial products share a bit, so nothing carries.
+        for (i, bytes) in flags.chunks_exact(8).enumerate() {
+            let x = u64::from_le_bytes(bytes.try_into().expect("8-byte chunk"));
+            mask |= (x.wrapping_mul(0x0102_0408_1020_4080) >> 56) << (8 * i);
+        }
+        taken.or_mask(k, cell + c * 64, mask);
+    }
+}
+
+/// The cell-by-cell 0-1 update: capacities descend in both dimensions so
+/// each item is used at most once. Production runs it only for memory-free
+/// items; tests run it for every layer as the row kernel's oracle.
+fn relax_layer_scalar(
+    dp: &mut [f64],
+    taken: &mut BitGrid<'_>,
+    k: usize,
+    it: &Layer2,
+    w_max: usize,
+    stride: usize,
+) {
+    let t_max = stride - 1;
+    for w in (it.w..=w_max).rev() {
+        for t in (it.t..=t_max).rev() {
+            let from = (w - it.w) * stride + (t - it.t);
+            let here = w * stride + t;
+            let candidate = dp[from] + it.v;
+            if candidate > dp[here] {
+                dp[here] = candidate;
+                taken.set(k, here);
+            }
+        }
+    }
 }
 
 /// One effective item layer for the 1-D core.
@@ -242,27 +345,7 @@ pub fn solve_2d_with(
     if w_max == 0 || t_max == 0 || items.is_empty() {
         return Packing::default();
     }
-
-    // Pre-filter items that cannot fit alone; remember original positions.
-    let mut pos_of = Vec::new();
-    let layers: Vec<Layer2> = items
-        .iter()
-        .enumerate()
-        .filter_map(|(pos, it)| {
-            let w = cap.item_units(it.mem_mb);
-            let t = it.threads.div_ceil(THREADS_PER_UNIT) as usize;
-            if w <= w_max && t <= t_max && it.threads <= cap.thread_limit {
-                pos_of.push(pos);
-                Some(Layer2 {
-                    w,
-                    t,
-                    v: value_fn.value(it.threads, cap.value_threads()),
-                })
-            } else {
-                None
-            }
-        })
-        .collect();
+    let (pos_of, layers) = raw_layers_2d(items, cap, value_fn);
     if layers.is_empty() {
         return Packing::default();
     }
@@ -270,6 +353,35 @@ pub fn solve_2d_with(
     let (chosen, total) = dp_core_2d(&layers, w_max, t_max, scratch);
     let selected = chosen.into_iter().map(|k| items[pos_of[k]].index).collect();
     Packing::from_selection(items, selected, total)
+}
+
+/// Evaluate raw items into 2-D layers, dropping those that cannot fit
+/// alone; also returns each layer's position in `items`.
+fn raw_layers_2d(
+    items: &[PackItem],
+    cap: &Capacity,
+    value_fn: ValueFunction,
+) -> (Vec<usize>, Vec<Layer2>) {
+    let w_max = cap.units();
+    let t_max = (cap.thread_limit / THREADS_PER_UNIT) as usize;
+    let mut pos_of = Vec::new();
+    let layers = items
+        .iter()
+        .enumerate()
+        .filter_map(|(pos, it)| {
+            let w = cap.item_units(it.mem_mb);
+            let t = it.threads.div_ceil(THREADS_PER_UNIT) as usize;
+            (w <= w_max && t <= t_max && it.threads <= cap.thread_limit).then(|| {
+                pos_of.push(pos);
+                Layer2 {
+                    w,
+                    t,
+                    v: value_fn.value(it.threads, cap.value_threads()),
+                }
+            })
+        })
+        .collect();
+    (pos_of, layers)
 }
 
 /// The paper-literal variant: a 1-D DP over memory only, followed by a
@@ -601,6 +713,105 @@ mod tests {
                 for cell in 0..100 {
                     assert!(!g.get(item, cell), "stale bit at ({item}, {cell})");
                 }
+            }
+        }
+    }
+
+    /// Run one instance through the row kernel and through the scalar
+    /// oracle, each on fresh scratch: the DP tables, the backtracking bits
+    /// and the selections must all be identical.
+    fn kernel_matches_oracle(items: &[PackItem], cap: &Capacity, vf: ValueFunction) {
+        let w_max = cap.units();
+        let t_max = (cap.thread_limit / THREADS_PER_UNIT) as usize;
+        let (_, layers) = raw_layers_2d(items, cap, vf);
+        let mut kernel = DpScratch::default();
+        let mut oracle = DpScratch::default();
+        let got = dp_core_2d(&layers, w_max, t_max, &mut kernel);
+        let want = dp_core_2d_by(&layers, w_max, t_max, &mut oracle, relax_layer_scalar);
+        assert_eq!(got.0, want.0, "selections differ");
+        assert_eq!(got.1.to_bits(), want.1.to_bits(), "optima differ");
+        let bits = |s: &DpScratch| s.dp.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&kernel), bits(&oracle), "dp tables differ");
+        assert_eq!(kernel.words_hot, oracle.words_hot);
+        assert_eq!(
+            kernel.words[..kernel.words_hot],
+            oracle.words[..oracle.words_hot],
+            "taken bits differ"
+        );
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+
+        /// The row kernel against the scalar oracle over memory-free items,
+        /// thread-free items, thread counts off the 4-thread unit, rows of
+        /// 2–91 cells (one or two mask chunks) and layer/row offsets that
+        /// put masks across word boundaries.
+        #[test]
+        fn row_kernel_matches_scalar_oracle(
+            raw in proptest::collection::vec(
+                (0u64..4000, 0u32..=360, 0u8..8),
+                1..40,
+            ),
+            mem_mb in 0u64..8000,
+            granularity_mb in proptest::sample::select(vec![25u64, 50, 100, 200]),
+            thread_limit in proptest::sample::select(vec![4u32, 18, 240, 250, 360]),
+        ) {
+            let items: Vec<PackItem> = raw
+                .iter()
+                .enumerate()
+                .map(|(index, &(mem, threads, shape))| PackItem {
+                    index,
+                    // Shape 0 is memory-free, shape 1 thread-free.
+                    mem_mb: if shape == 0 { 0 } else { mem },
+                    threads: if shape == 1 { 0 } else { threads },
+                })
+                .collect();
+            let cap = Capacity {
+                mem_mb,
+                granularity_mb,
+                thread_limit,
+                value_ref_threads: 240,
+            };
+            for vf in [ValueFunction::PaperQuadratic, ValueFunction::Unit] {
+                kernel_matches_oracle(&items, &cap, vf);
+            }
+        }
+    }
+
+    #[test]
+    fn row_kernel_matches_oracle_on_wide_rows() {
+        // Overcommit budget 360 → 91 cells per row: every row update runs
+        // a full 64-cell chunk plus a 27-cell tail, and with 154 rows the
+        // chunks start at every residue mod 64.
+        let cap = Capacity {
+            mem_mb: 7680,
+            granularity_mb: 50,
+            thread_limit: 360,
+            value_ref_threads: 240,
+        };
+        let items: Vec<PackItem> = (0..63)
+            .map(|i| it(i, 100 + 97 * i as u64 % 3300, 1 + (i as u32 * 37) % 240))
+            .collect();
+        kernel_matches_oracle(&items, &cap, ValueFunction::PaperQuadratic);
+    }
+
+    #[test]
+    fn or_mask_straddles_word_boundaries() {
+        let mut words = Vec::new();
+        let mut hot = 0usize;
+        let mut g = BitGrid::reset(&mut words, &mut hot, 2, 100);
+        // Item 1 starts at bit 100; cell 20 is bit 120, so a full mask
+        // covers bits 120..184 across words 1 and 2.
+        g.or_mask(1, 20, u64::MAX);
+        g.or_mask(0, 90, 0b101);
+        for item in 0..2 {
+            for cell in 0..100 {
+                let want = match item {
+                    0 => cell == 90 || cell == 92,
+                    _ => (20..84).contains(&cell),
+                };
+                assert_eq!(g.get(item, cell), want, "({item}, {cell})");
             }
         }
     }

@@ -48,7 +48,7 @@ pub use baseline::{BestFitDecreasing, FirstFit, RandomFit};
 pub use bb::solve_branch_and_bound;
 pub use dp::{
     solve_1d_filtered, solve_1d_filtered_with, solve_2d, solve_2d_with, solve_prepped_1d_with,
-    solve_prepped_2d_with, DpScratch,
+    solve_prepped_2d_with, DpScratch, THREADS_PER_UNIT,
 };
 pub use item::{Capacity, PackItem, Packing};
 pub use prep::{prep_1d, prep_2d, PrepItem, Prepped};
