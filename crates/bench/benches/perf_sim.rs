@@ -16,14 +16,15 @@
 //! its own gate in `perf_negotiation`.)
 //!
 //! Emits `BENCH_sim.json` (under `target/experiments/` and at the repo
-//! root) and **fails** if the measured speedup drops below the 2×
+//! root), with the fast path's absolute `events_per_sec` and the commit it
+//! measured beside the ratio, and **fails** if the measured speedup drops below the 2×
 //! acceptance floor — a regression gate, not just a report. Both runs must
 //! return bit-identical results before timing means anything (the
 //! randomized version of this assertion lives in
 //! `cluster/tests/prop_runtime_diff.rs`).
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
-use phishare_bench::{banner, persist_json, GateKnobs, EXPERIMENT_SEED};
+use phishare_bench::{banner, git_commit, persist_json, GateKnobs, EXPERIMENT_SEED};
 use phishare_cluster::{ClusterConfig, EventMode, Experiment, ExperimentResult, RunOptions};
 use phishare_core::ClusterPolicy;
 use phishare_sim::SimDuration;
@@ -96,6 +97,8 @@ where
 
 #[derive(Serialize)]
 struct SimBench {
+    /// Commit measured (`+dirty` when the tree had uncommitted changes).
+    commit: String,
     policy: String,
     nodes: u32,
     jobs: usize,
@@ -107,6 +110,9 @@ struct SimBench {
     /// Best-of-runs wall time of one next-completion experiment, ms
     /// ("after").
     fast_ms: f64,
+    /// Live events handled per second of the best fast-path run — the
+    /// absolute throughput behind the ratio.
+    events_per_sec: f64,
     speedup: f64,
     speedup_floor: f64,
     completed: usize,
@@ -135,6 +141,7 @@ fn gate() -> SimBench {
     });
 
     SimBench {
+        commit: git_commit(),
         policy: policy.to_string(),
         nodes: NODES,
         jobs: JOBS,
@@ -142,6 +149,7 @@ fn gate() -> SimBench {
         fast_runs,
         naive_ms,
         fast_ms,
+        events_per_sec: fast.events_processed as f64 / (fast_ms / 1e3),
         speedup: naive_ms / fast_ms,
         speedup_floor: SPEEDUP_FLOOR,
         completed: fast.completed,
@@ -193,6 +201,10 @@ fn main() {
     println!(
         "naive (best of {}): {:.1} ms   fast (best of {}): {:.1} ms   speedup: {:.1}x",
         result.naive_runs, result.naive_ms, result.fast_runs, result.fast_ms, result.speedup
+    );
+    println!(
+        "fast path {:.0} events/s at {}",
+        result.events_per_sec, result.commit
     );
     persist_json("BENCH_sim", &result);
     // Also drop a copy at the repo root; the acceptance numbers are

@@ -14,19 +14,17 @@
 
 use phishare_sim::{SimDuration, SimTime, TimeWeighted};
 use phishare_workload::JobId;
-use std::collections::BTreeMap;
-
-#[derive(Debug, Clone)]
-struct ActiveSegment {
-    /// Nominal work remaining, in ticks at rate 1.
-    remaining: f64,
-}
 
 /// The host CPUs of one node, executing jobs' host phases.
 #[derive(Debug)]
 pub struct HostCpu {
     cores: u32,
-    active: BTreeMap<JobId, ActiveSegment>,
+    /// `(job, nominal work remaining in ticks at rate 1)` per active phase,
+    /// sorted by id. A node runs at most one phase per slot, so this stays
+    /// a handful of entries: a binary search beats a tree walk, and
+    /// iterating in id order keeps every prediction and tie-break as a
+    /// `BTreeMap` keyed by id would give them.
+    active: Vec<(JobId, f64)>,
     rate: f64,
     last_update: SimTime,
     generation: u64,
@@ -39,7 +37,7 @@ impl HostCpu {
         assert!(cores > 0, "a node needs at least one host core");
         HostCpu {
             cores,
-            active: BTreeMap::new(),
+            active: Vec::new(),
             rate: 1.0,
             last_update: start,
             generation: 0,
@@ -60,7 +58,7 @@ impl HostCpu {
 
     /// True when `job` has an active host phase here.
     pub fn is_active(&self, job: JobId) -> bool {
-        self.active.contains_key(&job)
+        self.find(job).is_ok()
     }
 
     /// Begin a host phase of nominal `duration` for `job`.
@@ -69,13 +67,10 @@ impl HostCpu {
     /// Panics if the job already has an active host phase.
     pub fn start_segment(&mut self, now: SimTime, job: JobId, duration: SimDuration) {
         self.advance_to(now);
-        let prior = self.active.insert(
-            job,
-            ActiveSegment {
-                remaining: duration.ticks() as f64,
-            },
-        );
-        assert!(prior.is_none(), "{job} already in a host phase");
+        match self.find(job) {
+            Ok(_) => panic!("{job} already in a host phase"),
+            Err(at) => self.active.insert(at, (job, duration.ticks() as f64)),
+        }
         self.reschedule(now);
     }
 
@@ -86,14 +81,13 @@ impl HostCpu {
     /// the caller fired a stale event the generation guard should drop.
     pub fn finish_segment(&mut self, now: SimTime, job: JobId) {
         self.advance_to(now);
-        let seg = self
-            .active
-            .remove(&job)
-            .unwrap_or_else(|| panic!("{job} has no active host phase"));
+        let at = self
+            .find(job)
+            .unwrap_or_else(|_| panic!("{job} has no active host phase"));
+        let (_, remaining) = self.active.remove(at);
         debug_assert!(
-            seg.remaining <= self.rate + 1e-6,
-            "finish_segment fired with {:.3} ticks left: stale event?",
-            seg.remaining
+            remaining <= self.rate + 1e-6,
+            "finish_segment fired with {remaining:.3} ticks left: stale event?"
         );
         self.reschedule(now);
     }
@@ -101,20 +95,18 @@ impl HostCpu {
     /// Abort a host phase (job killed mid-phase). No-op if absent.
     pub fn abort(&mut self, now: SimTime, job: JobId) {
         self.advance_to(now);
-        if self.active.remove(&job).is_some() {
+        if let Ok(at) = self.find(job) {
+            self.active.remove(at);
             self.reschedule(now);
         }
     }
 
     /// Predicted completion instants under the current fair-share rate,
-    /// valid for the current generation.
+    /// valid for the current generation, in ascending id order.
     pub fn completions(&self) -> Vec<(JobId, SimTime)> {
         self.active
             .iter()
-            .map(|(job, seg)| {
-                let dt = (seg.remaining / self.rate).ceil().max(0.0) as u64;
-                (*job, self.last_update + SimDuration::from_ticks(dt))
-            })
+            .map(|&(job, remaining)| (job, self.finish_at(remaining)))
             .collect()
     }
 
@@ -127,11 +119,10 @@ impl HostCpu {
     /// finish first as a per-phase one.
     pub fn next_completion(&self) -> Option<(JobId, SimTime)> {
         let mut best: Option<(JobId, SimTime)> = None;
-        for (job, seg) in &self.active {
-            let dt = (seg.remaining / self.rate).ceil().max(0.0) as u64;
-            let at = self.last_update + SimDuration::from_ticks(dt);
+        for &(job, remaining) in &self.active {
+            let at = self.finish_at(remaining);
             if best.map(|(_, b)| at < b).unwrap_or(true) {
-                best = Some((*job, at));
+                best = Some((job, at));
             }
         }
         best
@@ -142,11 +133,20 @@ impl HostCpu {
         self.busy.time_average(end)
     }
 
+    fn find(&self, job: JobId) -> Result<usize, usize> {
+        self.active.binary_search_by_key(&job, |&(id, _)| id)
+    }
+
+    fn finish_at(&self, remaining: f64) -> SimTime {
+        let dt = (remaining / self.rate).ceil().max(0.0) as u64;
+        self.last_update + SimDuration::from_ticks(dt)
+    }
+
     fn advance_to(&mut self, now: SimTime) {
         let dt = now.since(self.last_update).ticks() as f64;
         if dt > 0.0 {
-            for seg in self.active.values_mut() {
-                seg.remaining = (seg.remaining - self.rate * dt).max(0.0);
+            for (_, remaining) in &mut self.active {
+                *remaining = (*remaining - self.rate * dt).max(0.0);
             }
             self.last_update = now;
         }

@@ -66,10 +66,73 @@ use phishare_phi::{
 };
 use phishare_sim::{DetRng, Sim, SimDuration, SimTime, Summary};
 use phishare_workload::{JobId, Segment, Workload};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Key of one device: `(node, device-on-node)`.
 type DevKey = (u32, u32);
+
+/// `JobId` → workload index in O(1) for any set of unique ids: a hash map
+/// whose hasher is a single multiply (ids are integers, not hostile keys).
+type JobIndex = HashMap<JobId, usize, BuildHasherDefault<IdHasher>>;
+
+/// Fibonacci hashing of one `u64`: the multiply spreads consecutive ids
+/// over both the bucket bits (low) and the tag bits (high) of the table.
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0.rotate_left(8) ^ u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// One device's runtime state: the card, its COSMIC instance, and what the
+/// event loop tracks about it. [`World::devs`] holds one per device at
+/// index `(node - 1) · devices_per_node + dev`, i.e. in `(node, dev)` order.
+struct DevState<D, C> {
+    device: D,
+    /// `None` when the policy runs without COSMIC.
+    cosmic: Option<C>,
+    /// Device generation a prediction event was last scheduled for:
+    /// repeated syncs within one generation are no-ops, so each generation
+    /// costs at most one heap push (see [`World::sync_host`]).
+    synced_gen: Option<u64>,
+    /// Mid-reset on an otherwise-live node.
+    down: bool,
+    /// Declared memory of matched-but-not-yet-attached jobs.
+    inflight_declared: u64,
+    /// Count of matched-but-not-yet-attached jobs.
+    inflight_count: u32,
+    /// Declared threads of matched-but-not-yet-attached jobs.
+    inflight_threads: u32,
+    /// Open derate windows, keyed by plan index. The device's effective
+    /// scale is the product folded in ascending index order, so
+    /// overlapping windows compose deterministically.
+    derate: BTreeMap<usize, f64>,
+    /// Open latency-spike windows, keyed by plan index; extras of
+    /// overlapping windows add (integer ticks, order-independent).
+    latency: BTreeMap<usize, SimDuration>,
+}
+
+/// One node's runtime state; [`World::nodes`] holds node `n` at `n - 1`.
+struct NodeState {
+    host: HostCpu,
+    /// Host analog of [`DevState::synced_gen`].
+    synced_gen: Option<u64>,
+    /// The startd vanished (churn): no ads, no dispatch, no hosts.
+    down: bool,
+}
 
 /// Simulation events.
 #[derive(Debug)]
@@ -88,10 +151,11 @@ enum Ev {
         node: u32,
         generation: u64,
     },
-    /// A device predicts this offload finishes now (valid for `generation`).
+    /// Device `devs[dev]` predicts this offload finishes now (valid for
+    /// `generation`).
     OffloadComplete {
         job: JobId,
-        key: DevKey,
+        dev: u32,
         generation: u64,
     },
     /// Injected failure `plan[idx]` strikes.
@@ -215,7 +279,6 @@ impl Default for RunOptions<'_> {
 
 #[derive(Debug)]
 struct RunningJob<DH, CH> {
-    idx: usize,
     slot: SlotId,
     key: DevKey,
     /// Device-substrate handle, resolved once at attach time. Stale the
@@ -227,9 +290,9 @@ struct RunningJob<DH, CH> {
     /// the policy runs without COSMIC.
     cslot: Option<CH>,
     /// Index of the segment currently executing.
-    seg: usize,
+    seg: u32,
     /// Offload segments completed so far (drives the memory-growth model).
-    offloads_done: usize,
+    offloads_done: u32,
     /// The job's card reset under it and [`FallbackPolicy::HostOnly`]
     /// applies: remaining offload segments run on host cores, the device
     /// and COSMIC are never touched again.
@@ -448,32 +511,28 @@ impl Experiment {
         }
         // Post-drain leak audit: every fault must have been matched by a
         // recovery path that returned its capacity.
-        for (key, device) in &world.devices {
-            if device.resident_count() != 0 || device.committed_total_mb() != 0 {
+        for (i, d) in world.devs.iter().enumerate() {
+            let (node, dev) = world.dev_key(i);
+            if d.device.resident_count() != 0 || d.device.committed_total_mb() != 0 {
                 return Err(format!(
-                    "capacity leak: device ({}, {}) drained with {} residents, {} MB committed",
-                    key.0,
-                    key.1,
-                    device.resident_count(),
-                    device.committed_total_mb()
+                    "capacity leak: device ({node}, {dev}) drained with {} residents, {} MB committed",
+                    d.device.resident_count(),
+                    d.device.committed_total_mb()
                 ));
             }
-        }
-        for (key, cos) in &world.cosmic {
-            if cos.registered_jobs() != 0 {
+            if let Some(cos) = d.cosmic.as_ref().filter(|c| c.registered_jobs() != 0) {
                 return Err(format!(
-                    "capacity leak: COSMIC on ({}, {}) drained with {} registered jobs",
-                    key.0,
-                    key.1,
+                    "capacity leak: COSMIC on ({node}, {dev}) drained with {} registered jobs",
                     cos.registered_jobs()
                 ));
             }
         }
-        for (node, host) in &world.hosts {
-            if host.active_count() != 0 {
+        for (i, n) in world.nodes.iter().enumerate() {
+            if n.host.active_count() != 0 {
                 return Err(format!(
-                    "capacity leak: host {node} drained with {} active segments",
-                    host.active_count()
+                    "capacity leak: host {} drained with {} active segments",
+                    i + 1,
+                    n.host.active_count()
                 ));
             }
         }
@@ -496,16 +555,18 @@ struct World<'a, D: DeviceSubstrate, C: CosmicSubstrate> {
     /// its slot ads still hold that pair, so an unchanged pair makes the
     /// next refresh a provable no-op.
     ads_synced: Vec<Option<(u64, u64, u32)>>,
-    devices: BTreeMap<DevKey, D>,
-    cosmic: BTreeMap<DevKey, C>,
-    hosts: BTreeMap<u32, HostCpu>,
+    /// Per-device state in `(node, dev)` order (see [`DevState`]).
+    devs: Vec<DevState<D, C>>,
+    /// Per-node state, node `n` at index `n - 1`.
+    nodes: Vec<NodeState>,
     scheduler: Option<Box<dyn ClusterScheduler>>,
     /// JobId → index into the workload.
-    job_index: BTreeMap<JobId, usize>,
+    job_index: JobIndex,
     /// Each workload job's nominal duration in seconds, by workload index
     /// (the profile sum the clairvoyant comparator reads every cycle).
     nominal_secs: Vec<f64>,
-    running: BTreeMap<JobId, RunningJob<D::Handle, C::Handle>>,
+    /// The running jobs, by workload index.
+    running: Vec<Option<RunningJob<D::Handle, C::Handle>>>,
     /// Reusable buffer for collecting COSMIC grants (completion, kill and
     /// unregister paths); taken/restored around each use so the hot loop
     /// never allocates.
@@ -516,24 +577,12 @@ struct World<'a, D: DeviceSubstrate, C: CosmicSubstrate> {
     /// at match time. The packing is per device (each knapsack is one
     /// coprocessor); re-placing at match time could break a feasible plan.
     pinned_dev: BTreeMap<JobId, DevKey>,
-    /// Declared memory of matched-but-not-yet-attached jobs, per device.
-    inflight_declared: BTreeMap<DevKey, u64>,
-    /// Count of matched-but-not-yet-attached jobs, per device.
-    inflight_count: BTreeMap<DevKey, u32>,
-    /// Declared threads of matched-but-not-yet-attached jobs, per device.
-    inflight_threads: BTreeMap<DevKey, u32>,
     /// Sequence number of the latest scheduled cycle; stale cycles no-op.
     cycle_seq: u64,
     /// When the next cycle is due (None once the cluster drained).
     next_cycle: Option<SimTime>,
     /// How completion predictions become events.
     mode: EventMode,
-    /// Device generation a prediction event was last scheduled for
-    /// (next-completion mode only): repeated syncs within one generation
-    /// are no-ops, so each generation costs at most one heap push.
-    synced_dev_gen: BTreeMap<DevKey, u64>,
-    /// Host analog of `synced_dev_gen`.
-    synced_host_gen: BTreeMap<u32, u64>,
     /// Events that passed the staleness guards and were actually handled.
     /// Identical across event modes (stale deliveries are a scheme
     /// artefact), so it is the mode-independent simulation-cost metric.
@@ -542,10 +591,6 @@ struct World<'a, D: DeviceSubstrate, C: CosmicSubstrate> {
     /// Lifecycle trace (None unless `run_traced` was used).
     trace: Option<Trace>,
     // --- fault state ---
-    /// Nodes whose startd vanished (churn); no ads, no dispatch, no hosts.
-    down_nodes: BTreeSet<u32>,
-    /// Devices mid-reset on otherwise-live nodes.
-    down_devs: BTreeSet<DevKey>,
     /// Times each job has been vacated by a fault and requeued.
     attempts: BTreeMap<JobId, u32>,
     /// Vacated jobs sitting out their backoff (held, invisible to the
@@ -556,17 +601,10 @@ struct World<'a, D: DeviceSubstrate, C: CosmicSubstrate> {
     /// Arrivals processed so far: every workload job is submitted exactly
     /// once, so all arrivals are in once this reaches the job count.
     submitted: usize,
-    /// Jobs whose first dispatch already recorded a queue-wait sample
-    /// (re-dispatches after a fault must not re-count).
-    wait_recorded: BTreeSet<JobId>,
+    /// Per workload index: the job's first dispatch already recorded a
+    /// queue-wait sample (re-dispatches after a fault must not re-count).
+    wait_recorded: Vec<bool>,
     // --- perturbation state ---
-    /// Open derate windows per device, keyed by plan index. The device's
-    /// effective scale is the product folded in ascending index order, so
-    /// overlapping windows compose deterministically.
-    derate_active: BTreeMap<DevKey, BTreeMap<usize, f64>>,
-    /// Open latency-spike windows per device, keyed by plan index; extras
-    /// of overlapping windows add (integer ticks, order-independent).
-    latency_active: BTreeMap<DevKey, BTreeMap<usize, SimDuration>>,
     /// Nesting depth of open stale-ad windows; ads refresh only at 0.
     stale_ad_depth: u32,
     /// Whether any non-cycle event ran since the last *executed* cycle —
@@ -616,12 +654,15 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
         };
         let mut collector = Collector::with_partitions(parts);
         let mut startds = Vec::new();
-        let mut devices = BTreeMap::new();
-        let mut cosmic = BTreeMap::new();
-        let mut hosts = BTreeMap::new();
+        let mut devs = Vec::new();
+        let mut nodes = Vec::new();
         for node in 1..=cfg.nodes {
             let spec = cfg.spec_for_node(node);
-            hosts.insert(node, HostCpu::new(cfg.host_cores_per_node, SimTime::ZERO));
+            nodes.push(NodeState {
+                host: HostCpu::new(cfg.host_cores_per_node, SimTime::ZERO),
+                synced_gen: None,
+                down: false,
+            });
             let startd = Startd::new(
                 node,
                 cfg.slots_per_node,
@@ -634,11 +675,21 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
                 cfg.devices_per_node,
             );
             startds.push(startd);
-            for dev in 0..cfg.devices_per_node {
-                devices.insert((node, dev), D::create(&spec, SimTime::ZERO));
-                if cfg.policy.uses_cosmic() {
-                    cosmic.insert((node, dev), C::create(cfg.cosmic, &spec.phi));
-                }
+            for _ in 0..cfg.devices_per_node {
+                devs.push(DevState {
+                    device: D::create(&spec, SimTime::ZERO),
+                    cosmic: cfg
+                        .policy
+                        .uses_cosmic()
+                        .then(|| C::create(cfg.cosmic, &spec.phi)),
+                    synced_gen: None,
+                    down: false,
+                    inflight_declared: 0,
+                    inflight_count: 0,
+                    inflight_threads: 0,
+                    derate: BTreeMap::new(),
+                    latency: BTreeMap::new(),
+                });
             }
         }
 
@@ -649,6 +700,8 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
             ClusterPolicy::Oracle => Some(Box::new(ClairvoyantLpt::new(cfg.knapsack))),
         };
 
+        // Unique ids are checked by `Workload::validate` before any World
+        // exists.
         let job_index = wl.jobs.iter().enumerate().map(|(i, j)| (j.id, i)).collect();
 
         World {
@@ -663,9 +716,8 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
                 .with_quiescence(cfg.skip_quiescent),
             ads_synced: vec![None; startds.len()],
             startds,
-            devices,
-            cosmic,
-            hosts,
+            devs,
+            nodes,
             scheduler,
             job_index,
             nominal_secs: wl
@@ -673,30 +725,21 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
                 .iter()
                 .map(|j| j.nominal_duration().as_secs_f64())
                 .collect(),
-            running: BTreeMap::new(),
+            running: wl.jobs.iter().map(|_| None).collect(),
             grants_buf: Vec::new(),
             matched_dev: BTreeMap::new(),
             pinned_dev: BTreeMap::new(),
-            inflight_declared: BTreeMap::new(),
-            inflight_count: BTreeMap::new(),
-            inflight_threads: BTreeMap::new(),
             cycle_seq: 0,
             next_cycle: None,
             mode,
-            synced_dev_gen: BTreeMap::new(),
-            synced_host_gen: BTreeMap::new(),
             live_events: 0,
             rng_oom: DetRng::substream(cfg.seed, "oom-killer"),
             trace: None,
-            down_nodes: BTreeSet::new(),
-            down_devs: BTreeSet::new(),
             attempts: BTreeMap::new(),
             parked: BTreeSet::new(),
             submitted: 0,
             retired: BTreeSet::new(),
-            wait_recorded: BTreeSet::new(),
-            derate_active: BTreeMap::new(),
-            latency_active: BTreeMap::new(),
+            wait_recorded: vec![false; wl.len()],
             stale_ad_depth: 0,
             world_dirty: true,
             waits: Summary::new(),
@@ -719,6 +762,42 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
             last_terminal: SimTime::ZERO,
             plan_nanos: 0,
         }
+    }
+
+    /// Index of device `key` in [`World::devs`].
+    fn dev_index(&self, (node, dev): DevKey) -> usize {
+        (node - 1) as usize * self.cfg.devices_per_node as usize + dev as usize
+    }
+
+    /// Inverse of [`World::dev_index`].
+    fn dev_key(&self, i: usize) -> DevKey {
+        let per_node = self.cfg.devices_per_node as usize;
+        ((i / per_node) as u32 + 1, (i % per_node) as u32)
+    }
+
+    fn dev(&self, key: DevKey) -> &DevState<D, C> {
+        &self.devs[self.dev_index(key)]
+    }
+
+    fn dev_mut(&mut self, key: DevKey) -> &mut DevState<D, C> {
+        let i = self.dev_index(key);
+        &mut self.devs[i]
+    }
+
+    fn node(&self, node: u32) -> &NodeState {
+        &self.nodes[(node - 1) as usize]
+    }
+
+    fn node_mut(&mut self, node: u32) -> &mut NodeState {
+        &mut self.nodes[(node - 1) as usize]
+    }
+
+    /// The running state of workload job `idx`.
+    ///
+    /// # Panics
+    /// Panics when the job is not running.
+    fn run(&self, idx: usize) -> &RunningJob<D::Handle, C::Handle> {
+        self.running[idx].as_ref().expect("a running job")
     }
 
     /// Record a trace event (no-op, and no allocation, unless tracing).
@@ -751,18 +830,10 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
             Ev::Cycle(seq) => seq == self.cycle_seq,
             Ev::HostDone {
                 node, generation, ..
-            } => self
-                .hosts
-                .get(&node)
-                .map(|h| h.generation() == generation)
-                .unwrap_or(false),
+            } => self.node(node).host.generation() == generation,
             Ev::OffloadComplete {
-                key, generation, ..
-            } => self
-                .devices
-                .get(&key)
-                .map(|d| d.generation() == generation)
-                .unwrap_or(false),
+                dev, generation, ..
+            } => self.devs[dev as usize].device.generation() == generation,
         }
     }
 
@@ -787,9 +858,9 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
             } => self.on_host_done(sim, job, node, generation),
             Ev::OffloadComplete {
                 job,
-                key,
+                dev,
                 generation,
-            } => self.on_offload_complete(sim, job, key, generation),
+            } => self.on_offload_complete(sim, job, dev as usize, generation),
             Ev::Fault(idx) => self.on_fault(sim, idx),
             Ev::Recover(idx) => self.on_recover(sim, idx),
             Ev::Perturb(idx) => self.on_perturb(sim, idx),
@@ -888,7 +959,8 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
             .negotiate(&mut self.queue, &mut self.collector);
         for m in matches {
             self.world_dirty = true;
-            let spec = &self.wl.jobs[self.job_index[&m.job]];
+            let wl = self.wl;
+            let spec = &wl.jobs[self.job_index[&m.job]];
             // Pinned jobs go to the device their packing round reserved;
             // unpinned (MC) jobs pick a free device now.
             let key = match self.pinned_dev.remove(&m.job) {
@@ -920,9 +992,10 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
                 },
             };
             self.matched_dev.insert(m.job, key);
-            *self.inflight_declared.entry(key).or_insert(0) += spec.mem_req_mb;
-            *self.inflight_count.entry(key).or_insert(0) += 1;
-            *self.inflight_threads.entry(key).or_insert(0) += spec.thread_req;
+            let d = self.dev_mut(key);
+            d.inflight_declared += spec.mem_req_mb;
+            d.inflight_count += 1;
+            d.inflight_threads += spec.thread_req;
             if let Some(s) = self.scheduler.as_mut() {
                 s.on_dispatched(m.job);
             }
@@ -937,8 +1010,9 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
 
     fn on_dispatch(&mut self, sim: &mut Sim<Ev>, job: JobId) {
         let now = sim.now();
+        let wl = self.wl;
         let idx = self.job_index[&job];
-        let spec = &self.wl.jobs[idx];
+        let spec = &wl.jobs[idx];
         // A fault between match and dispatch revokes the match and requeues
         // the job; the in-flight Dispatch then finds nothing to start. (If
         // the job was *re*-matched before the stale event fires, the stale
@@ -947,12 +1021,10 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
         let Some(key) = self.matched_dev.remove(&job) else {
             return;
         };
-        *self
-            .inflight_declared
-            .get_mut(&key)
-            .expect("inflight entry") -= spec.mem_req_mb;
-        *self.inflight_count.get_mut(&key).expect("inflight entry") -= 1;
-        *self.inflight_threads.get_mut(&key).expect("inflight entry") -= spec.thread_req;
+        let d = self.dev_mut(key);
+        d.inflight_declared -= spec.mem_req_mb;
+        d.inflight_count -= 1;
+        d.inflight_threads -= spec.thread_req;
 
         self.queue.set_running(job).expect("matched job starts");
         let slot = match self.queue.get(job).expect("queued").state {
@@ -960,7 +1032,7 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
             _ => unreachable!("just set running"),
         };
         let submitted = self.queue.get(job).expect("queued").submitted;
-        if self.wait_recorded.insert(job) {
+        if !std::mem::replace(&mut self.wait_recorded[idx], true) {
             self.waits.record(now.since(submitted).as_secs_f64());
         }
 
@@ -976,11 +1048,13 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
         // `running`; a job OOM-killing *itself* on attach is handled below).
         let initial_commit =
             ((spec.actual_peak_mem_mb as f64) * self.cfg.initial_commit_fraction).round() as u64;
-        let cslot = self
+        let i = self.dev_index(key);
+        let d = &mut self.devs[i];
+        let cslot = d
             .cosmic
-            .get_mut(&key)
+            .as_mut()
             .map(|cos| cos.register(job, spec.mem_req_mb, spec.thread_req));
-        let (dslot, outcome) = self.devices.get_mut(&key).expect("device exists").attach(
+        let (dslot, outcome) = d.device.attach(
             now,
             ProcId(job.raw()),
             spec.mem_req_mb,
@@ -988,107 +1062,103 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
             initial_commit,
             &mut self.rng_oom,
         );
-        self.running.insert(
-            job,
-            RunningJob {
-                idx,
-                slot,
-                key,
-                dslot,
-                cslot,
-                seg: 0,
-                offloads_done: 0,
-                fallback: false,
-            },
-        );
-        self.handle_commit_outcome(sim, key, outcome);
-        if !self.running.contains_key(&job) {
+        self.running[idx] = Some(RunningJob {
+            slot,
+            key,
+            dslot,
+            cslot,
+            seg: 0,
+            offloads_done: 0,
+            fallback: false,
+        });
+        self.handle_commit_outcome(sim, outcome);
+        if self.running[idx].is_none() {
             return; // the job itself was an OOM victim of its own attach
         }
-        if self.container_check(sim, key, job, initial_commit) {
+        if self.container_check(sim, key, idx, initial_commit) {
             return;
         }
-        self.advance_segment(sim, job);
+        self.advance_segment(sim, idx);
     }
 
     fn on_host_done(&mut self, sim: &mut Sim<Ev>, job: JobId, node: u32, generation: u64) {
         let now = sim.now();
         {
-            let host = self.hosts.get(&node).expect("node exists");
+            let host = &self.node(node).host;
             if host.generation() != generation || !host.is_active(job) {
                 return; // stale prediction, or the job was killed
             }
         }
-        let Some(run) = self.running.get_mut(&job) else {
+        let idx = self.job_index[&job];
+        let Some(run) = self.running[idx].as_mut() else {
             return;
         };
         run.seg += 1;
-        self.hosts
-            .get_mut(&node)
-            .expect("node exists")
-            .finish_segment(now, job);
+        self.node_mut(node).host.finish_segment(now, job);
         self.sync_host(sim, node);
-        self.advance_segment(sim, job);
+        self.advance_segment(sim, idx);
     }
 
-    fn on_offload_complete(&mut self, sim: &mut Sim<Ev>, job: JobId, key: DevKey, generation: u64) {
+    fn on_offload_complete(&mut self, sim: &mut Sim<Ev>, job: JobId, i: usize, generation: u64) {
         let now = sim.now();
-        {
-            let device = self.devices.get(&key).expect("device exists");
-            if device.generation() != generation {
-                return; // stale prediction
-            }
+        if self.devs[i].device.generation() != generation {
+            return; // stale prediction
         }
-        let Some(run) = self.running.get_mut(&job) else {
+        let idx = self.job_index[&job];
+        let Some(run) = self.running[idx].as_mut() else {
             return;
         };
         let (dslot, cslot) = (run.dslot, run.cslot);
         run.seg += 1;
         run.offloads_done += 1;
 
-        self.devices
-            .get_mut(&key)
-            .expect("device exists")
-            .finish_offload(now, dslot);
+        self.devs[i].device.finish_offload(now, dslot);
         self.trace_ev(|| TraceEvent::OffloadFinished { job, at: now });
         if let Some(cslot) = cslot {
             let mut grants = std::mem::take(&mut self.grants_buf);
-            self.cosmic
-                .get_mut(&key)
+            self.devs[i]
+                .cosmic
+                .as_mut()
                 .expect("handle implies cosmic")
                 .complete_offload_into(now, cslot, &mut grants);
-            self.start_grants(sim, key, &grants);
+            self.start_grants(sim, i, &grants);
             grants.clear();
             self.grants_buf = grants;
         }
-        self.sync_completions(sim, key);
-        self.advance_segment(sim, job);
+        self.sync_completions(sim, i);
+        self.advance_segment(sim, idx);
     }
 
     // ------------------------------------------------------------------
     // Job execution
     // ------------------------------------------------------------------
 
-    /// Begin the job's current segment (or complete the job).
-    fn advance_segment(&mut self, sim: &mut Sim<Ev>, job: JobId) {
+    /// Begin the current segment of workload job `idx` (or complete it).
+    fn advance_segment(&mut self, sim: &mut Sim<Ev>, idx: usize) {
         let now = sim.now();
-        let (idx, seg, key, offloads_done) = {
-            let run = self.running.get(&job).expect("advancing a live job");
-            (run.idx, run.seg, run.key, run.offloads_done)
+        let wl = self.wl;
+        let spec = &wl.jobs[idx];
+        let job = spec.id;
+        let (seg, key, offloads_done, fallback, dslot, cslot) = {
+            let run = self.run(idx);
+            (
+                run.seg,
+                run.key,
+                run.offloads_done,
+                run.fallback,
+                run.dslot,
+                run.cslot,
+            )
         };
-        let spec = &self.wl.jobs[idx];
-        match spec.profile.segments.get(seg) {
-            None => self.complete_job(sim, job),
+        match spec.profile.segments.get(seg as usize) {
+            None => self.complete_job(sim, idx),
             Some(Segment::Host { duration }) => {
                 let node = key.0;
-                self.hosts
-                    .get_mut(&node)
-                    .expect("node exists")
-                    .start_segment(now, job, *duration);
+                self.node_mut(node).host.start_segment(now, job, *duration);
                 self.sync_host(sim, node);
             }
             Some(Segment::Offload { threads, work }) => {
-                if self.running[&job].fallback {
+                if fallback {
                     // Host-fallback: the card reset under this job, so the
                     // offload's work runs on host cores at the configured
                     // slowdown. No memory commit, no COSMIC admission — the
@@ -1097,10 +1167,7 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
                     let slow = work.mul_f64(self.cfg.recovery.host_fallback_slowdown);
                     self.fallback_offloads += 1;
                     let node = key.0;
-                    self.hosts
-                        .get_mut(&node)
-                        .expect("node exists")
-                        .start_segment(now, job, slow);
+                    self.node_mut(node).host.start_segment(now, job, slow);
                     self.sync_host(sim, node);
                     return;
                 }
@@ -1114,24 +1181,18 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
                         * (offloads_done + 1) as f64
                         / total_offloads as f64)
                         .round() as u64;
-                let (dslot, cslot) = {
-                    let run = &self.running[&job];
-                    (run.dslot, run.cslot)
-                };
-                let outcome = self.devices.get_mut(&key).expect("device exists").commit(
-                    now,
-                    dslot,
-                    grown,
-                    &mut self.rng_oom,
-                );
-                self.handle_commit_outcome(sim, key, outcome);
-                if !self.running.contains_key(&job) {
+                let i = self.dev_index(key);
+                let outcome = self.devs[i]
+                    .device
+                    .commit(now, dslot, grown, &mut self.rng_oom);
+                self.handle_commit_outcome(sim, outcome);
+                if self.running[idx].is_none() {
                     return; // OOM-killed by its own growth
                 }
-                if self.container_check(sim, key, job, grown) {
+                if self.container_check(sim, key, idx, grown) {
                     return;
                 }
-                self.sync_completions(sim, key); // commit may have killed others
+                self.sync_completions(sim, i); // commit may have killed others
 
                 let threads = *threads;
                 let mut work = *work;
@@ -1146,11 +1207,11 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
                     self.inflated_offloads += 1;
                 }
                 if let Some(cslot) = cslot {
-                    let cos = self.cosmic.get_mut(&key).expect("handle implies cosmic");
+                    let cos = self.devs[i].cosmic.as_mut().expect("handle implies cosmic");
                     match cos.request_offload(now, cslot, threads, work) {
                         Admission::Started(grant) => {
-                            self.start_grants(sim, key, std::slice::from_ref(&grant));
-                            self.sync_completions(sim, key);
+                            self.start_grants(sim, i, std::slice::from_ref(&grant));
+                            self.sync_completions(sim, i);
                         }
                         Admission::Queued => {
                             // The job parks here; a future completion or
@@ -1159,40 +1220,46 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
                         }
                     }
                 } else {
-                    self.devices
-                        .get_mut(&key)
-                        .expect("device exists")
-                        .start_offload(now, dslot, threads, work, Affinity::Unmanaged);
+                    self.devs[i].device.start_offload(
+                        now,
+                        dslot,
+                        threads,
+                        work,
+                        Affinity::Unmanaged,
+                    );
                     self.trace_ev(|| TraceEvent::OffloadStarted {
                         job,
                         threads,
                         at: now,
                     });
-                    self.sync_completions(sim, key);
+                    self.sync_completions(sim, i);
                 }
             }
         }
     }
 
-    /// Start COSMIC-granted offloads on the device.
+    /// Start COSMIC-granted offloads on device `devs[i]`.
     ///
     /// Takes a slice (callers recycle [`World::grants_buf`]); a grant
     /// implies its job is running on this device, so its handle is live.
-    fn start_grants(&mut self, sim: &mut Sim<Ev>, key: DevKey, grants: &[OffloadGrant]) {
+    fn start_grants(&mut self, sim: &mut Sim<Ev>, i: usize, grants: &[OffloadGrant]) {
         let now = sim.now();
         for grant in grants {
-            let dslot = self.running[&grant.job].dslot;
-            self.devices
-                .get_mut(&key)
-                .expect("device exists")
-                .start_offload(now, dslot, grant.threads, grant.work, grant.affinity);
+            let dslot = self.run(self.job_index[&grant.job]).dslot;
+            self.devs[i].device.start_offload(
+                now,
+                dslot,
+                grant.threads,
+                grant.work,
+                grant.affinity,
+            );
             self.trace_ev(|| TraceEvent::OffloadStarted {
                 job: grant.job,
                 threads: grant.threads,
                 at: now,
             });
         }
-        self.sync_completions(sim, key);
+        self.sync_completions(sim, i);
     }
 
     /// (Re)schedule completion prediction events for a node's host CPUs.
@@ -1205,11 +1272,12 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
     /// float-rounding tick away from the still-live issued one — re-pushed
     /// it would race the original and make the two modes diverge.
     fn sync_host(&mut self, sim: &mut Sim<Ev>, node: u32) {
-        let generation = self.hosts.get(&node).expect("node exists").generation();
-        if self.synced_host_gen.insert(node, generation) == Some(generation) {
+        let state = &mut self.nodes[(node - 1) as usize];
+        let generation = state.host.generation();
+        if state.synced_gen.replace(generation) == Some(generation) {
             return; // this generation's predictions are already queued
         }
-        let host = self.hosts.get(&node).expect("node exists");
+        let host = &state.host;
         match self.mode {
             EventMode::PerOffload => {
                 for (job, at) in host.completions() {
@@ -1238,15 +1306,16 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
         }
     }
 
-    /// (Re)schedule completion prediction events for a device (see
+    /// (Re)schedule completion prediction events for device `devs[i]` (see
     /// [`World::sync_host`] for the per-mode and once-per-generation
     /// contract).
-    fn sync_completions(&mut self, sim: &mut Sim<Ev>, key: DevKey) {
-        let generation = self.devices.get(&key).expect("device exists").generation();
-        if self.synced_dev_gen.insert(key, generation) == Some(generation) {
+    fn sync_completions(&mut self, sim: &mut Sim<Ev>, i: usize) {
+        let d = &mut self.devs[i];
+        let generation = d.device.generation();
+        if d.synced_gen.replace(generation) == Some(generation) {
             return; // this generation's predictions are already queued
         }
-        let device = self.devices.get(&key).expect("device exists");
+        let device = &d.device;
         match self.mode {
             EventMode::PerOffload => {
                 device.for_each_completion(|proc, at| {
@@ -1254,7 +1323,7 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
                         at,
                         Ev::OffloadComplete {
                             job: JobId(proc.raw()),
-                            key,
+                            dev: i as u32,
                             generation,
                         },
                     );
@@ -1266,7 +1335,7 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
                         at,
                         Ev::OffloadComplete {
                             job: JobId(proc.raw()),
-                            key,
+                            dev: i as u32,
                             generation,
                         },
                     );
@@ -1275,25 +1344,14 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
         }
     }
 
-    fn complete_job(&mut self, sim: &mut Sim<Ev>, job: JobId) {
+    fn complete_job(&mut self, sim: &mut Sim<Ev>, idx: usize) {
         let now = sim.now();
-        let run = self.running.remove(&job).expect("completing a live job");
+        let job = self.wl.jobs[idx].id;
+        let run = self.running[idx].take().expect("completing a live job");
         if !run.fallback {
-            self.devices
-                .get_mut(&run.key)
-                .expect("device exists")
-                .detach(now, run.dslot);
-            if run.cslot.is_some() {
-                let mut grants = std::mem::take(&mut self.grants_buf);
-                self.cosmic
-                    .get_mut(&run.key)
-                    .expect("handle implies cosmic")
-                    .unregister_into(now, job, &mut grants);
-                self.start_grants(sim, run.key, &grants);
-                grants.clear();
-                self.grants_buf = grants;
-            }
-            self.sync_completions(sim, run.key);
+            let i = self.dev_index(run.key);
+            self.devs[i].device.detach(now, run.dslot);
+            self.release_cosmic(sim, job, &run);
         }
 
         self.queue
@@ -1313,6 +1371,30 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
         }
     }
 
+    /// Unregister a departing job from its card's COSMIC (starting the
+    /// offloads that unblocks) and re-predict the card.
+    fn release_cosmic(
+        &mut self,
+        sim: &mut Sim<Ev>,
+        job: JobId,
+        run: &RunningJob<D::Handle, C::Handle>,
+    ) {
+        let now = sim.now();
+        let i = self.dev_index(run.key);
+        if run.cslot.is_some() {
+            let mut grants = std::mem::take(&mut self.grants_buf);
+            self.devs[i]
+                .cosmic
+                .as_mut()
+                .expect("handle implies cosmic")
+                .unregister_into(now, job, &mut grants);
+            self.start_grants(sim, i, &grants);
+            grants.clear();
+            self.grants_buf = grants;
+        }
+        self.sync_completions(sim, i);
+    }
+
     /// Whether a completion leads to a prompt negotiation, or only the
     /// periodic cycle will notice the freed capacity.
     ///
@@ -1330,44 +1412,30 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
         !matches!(self.cfg.policy, ClusterPolicy::Mcc)
     }
 
-    /// Terminate a job early. `already_detached` is true when the device
-    /// removed the process itself (OOM kill).
+    /// Terminate workload job `idx` early. `already_detached` is true when
+    /// the device removed the process itself (OOM kill).
     fn kill_job(
         &mut self,
         sim: &mut Sim<Ev>,
-        job: JobId,
+        idx: usize,
         reason: KillReason,
         already_detached: bool,
     ) {
         let now = sim.now();
-        let Some(run) = self.running.remove(&job) else {
+        let job = self.wl.jobs[idx].id;
+        let Some(run) = self.running[idx].take() else {
             return;
         };
         if !run.fallback && !already_detached {
-            self.devices
-                .get_mut(&run.key)
-                .expect("device exists")
-                .detach(now, run.dslot);
+            let i = self.dev_index(run.key);
+            self.devs[i].device.detach(now, run.dslot);
         }
         // The victim may have been mid-host-phase (e.g. an OOM victim whose
         // offload had not started yet).
-        self.hosts
-            .get_mut(&run.key.0)
-            .expect("node exists")
-            .abort(now, job);
+        self.node_mut(run.key.0).host.abort(now, job);
         self.sync_host(sim, run.key.0);
         if !run.fallback {
-            if run.cslot.is_some() {
-                let mut grants = std::mem::take(&mut self.grants_buf);
-                self.cosmic
-                    .get_mut(&run.key)
-                    .expect("handle implies cosmic")
-                    .unregister_into(now, job, &mut grants);
-                self.start_grants(sim, run.key, &grants);
-                grants.clear();
-                self.grants_buf = grants;
-            }
-            self.sync_completions(sim, run.key);
+            self.release_cosmic(sim, job, &run);
         }
 
         self.queue.set_removed(job).expect("live job is removable");
@@ -1388,30 +1456,36 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
     }
 
     /// Process OOM fallout from a memory commit.
-    fn handle_commit_outcome(&mut self, sim: &mut Sim<Ev>, _key: DevKey, outcome: CommitOutcome) {
+    fn handle_commit_outcome(&mut self, sim: &mut Sim<Ev>, outcome: CommitOutcome) {
         if let CommitOutcome::OomKilled(victims) = outcome {
             for victim in victims {
-                self.kill_job(sim, JobId(victim.raw()), KillReason::Oom, true);
+                let idx = self.job_index[&JobId(victim.raw())];
+                self.kill_job(sim, idx, KillReason::Oom, true);
             }
         }
     }
 
-    /// COSMIC container enforcement; returns true when the job was killed.
+    /// COSMIC container enforcement on workload job `idx`; returns true
+    /// when the job was killed.
     fn container_check(
         &mut self,
         sim: &mut Sim<Ev>,
         key: DevKey,
-        job: JobId,
+        idx: usize,
         committed: u64,
     ) -> bool {
-        let Some(cslot) = self.running[&job].cslot else {
+        let Some(cslot) = self.run(idx).cslot else {
             return false;
         };
-        let cos = self.cosmic.get(&key).expect("handle implies cosmic");
+        let cos = self
+            .dev(key)
+            .cosmic
+            .as_ref()
+            .expect("handle implies cosmic");
         match cos.on_commit(cslot, committed) {
             ContainerVerdict::Allowed => false,
             ContainerVerdict::KillExceededLimit { .. } => {
-                self.kill_job(sim, job, KillReason::Container, false);
+                self.kill_job(sim, idx, KillReason::Container, false);
                 true
             }
         }
@@ -1436,12 +1510,12 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
     fn on_device_reset(&mut self, sim: &mut Sim<Ev>, idx: usize) {
         let f = self.plan.events[idx];
         let key = (f.node, f.device);
-        if self.down_nodes.contains(&f.node) || self.down_devs.contains(&key) {
+        if self.node(f.node).down || self.dev(key).down {
             return; // target already down: the strike is absorbed silently
         }
         let now = sim.now();
         self.device_resets += 1;
-        self.down_devs.insert(key);
+        self.dev_mut(key).down = true;
         self.trace_ev(|| TraceEvent::DeviceReset {
             node: f.node,
             device: f.device,
@@ -1457,11 +1531,12 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
         // Idle jobs pinned to this card go back to Held for re-planning.
         self.pull_back_pins(|k| k == key);
         // Jobs executing on the card degrade or vacate.
-        for job in self.running_jobs_on(|r| r.key == key && !r.fallback) {
+        for idx in self.running_jobs_on(|r| r.key == key && !r.fallback) {
+            let job = self.wl.jobs[idx].id;
             match self.cfg.recovery.fallback {
                 FallbackPolicy::HostOnly => {
-                    self.running
-                        .get_mut(&job)
+                    self.running[idx]
+                        .as_mut()
                         .expect("listed as running")
                         .fallback = true;
                     self.trace_ev(|| TraceEvent::FallbackStarted {
@@ -1473,18 +1548,15 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
                     // their next offload; a job whose offload the reset
                     // aborted (active or COSMIC-queued) restarts the
                     // segment host-side now.
-                    let mid_host = self.hosts.get(&f.node).expect("node exists").is_active(job);
+                    let mid_host = self.node(f.node).host.is_active(job);
                     if !mid_host {
-                        self.advance_segment(sim, job);
+                        self.advance_segment(sim, idx);
                     }
                 }
                 FallbackPolicy::Requeue => {
-                    self.hosts
-                        .get_mut(&f.node)
-                        .expect("node exists")
-                        .abort(now, job);
+                    self.node_mut(f.node).host.abort(now, job);
                     self.sync_host(sim, f.node);
-                    let run = self.running.remove(&job).expect("listed as running");
+                    let run = self.running[idx].take().expect("listed as running");
                     self.collector.release(run.slot);
                     self.fault_requeue(sim, job);
                 }
@@ -1498,12 +1570,12 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
     /// the node). Nothing on the node matches until `Recover` re-advertises.
     fn on_node_churn(&mut self, sim: &mut Sim<Ev>, idx: usize) {
         let f = self.plan.events[idx];
-        if self.down_nodes.contains(&f.node) {
+        if self.node(f.node).down {
             return; // already down
         }
         let now = sim.now();
         self.node_churns += 1;
-        self.down_nodes.insert(f.node);
+        self.node_mut(f.node).down = true;
         self.trace_ev(|| TraceEvent::NodeDown {
             node: f.node,
             at: now,
@@ -1517,12 +1589,10 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
             self.fault_requeue(sim, job);
         }
         self.pull_back_pins(|k| k.0 == f.node);
-        for job in self.running_jobs_on(|r| r.key.0 == f.node) {
-            self.hosts
-                .get_mut(&f.node)
-                .expect("node exists")
-                .abort(now, job);
-            self.running.remove(&job);
+        for idx in self.running_jobs_on(|r| r.key.0 == f.node) {
+            let job = self.wl.jobs[idx].id;
+            self.node_mut(f.node).host.abort(now, job);
+            self.running[idx] = None;
             self.fault_requeue(sim, job);
         }
         self.sync_host(sim, f.node);
@@ -1534,7 +1604,7 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
         let now = sim.now();
         match f.kind {
             FaultKind::DeviceReset => {
-                self.down_devs.remove(&(f.node, f.device));
+                self.dev_mut((f.node, f.device)).down = false;
                 self.trace_ev(|| TraceEvent::DeviceRecovered {
                     node: f.node,
                     device: f.device,
@@ -1542,7 +1612,7 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
                 });
             }
             FaultKind::NodeChurn => {
-                self.down_nodes.remove(&f.node);
+                self.node_mut(f.node).down = false;
                 self.trace_ev(|| TraceEvent::NodeUp {
                     node: f.node,
                     at: now,
@@ -1586,17 +1656,11 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
         match p.kind {
             PerturbKind::DeviceDerate { factor } => {
                 let key = (p.node, p.device);
-                self.derate_active
-                    .entry(key)
-                    .or_default()
-                    .insert(idx, factor);
+                self.dev_mut(key).derate.insert(idx, factor);
                 self.apply_derate(sim, key);
             }
             PerturbKind::OffloadLatency { extra } => {
-                self.latency_active
-                    .entry((p.node, p.device))
-                    .or_default()
-                    .insert(idx, extra);
+                self.dev_mut((p.node, p.device)).latency.insert(idx, extra);
             }
             PerturbKind::StaleAds => self.stale_ad_depth += 1,
         }
@@ -1609,15 +1673,11 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
         match p.kind {
             PerturbKind::DeviceDerate { .. } => {
                 let key = (p.node, p.device);
-                if let Some(m) = self.derate_active.get_mut(&key) {
-                    m.remove(&idx);
-                }
+                self.dev_mut(key).derate.remove(&idx);
                 self.apply_derate(sim, key);
             }
             PerturbKind::OffloadLatency { .. } => {
-                if let Some(m) = self.latency_active.get_mut(&(p.node, p.device)) {
-                    m.remove(&idx);
-                }
+                self.dev_mut((p.node, p.device)).latency.remove(&idx);
             }
             PerturbKind::StaleAds => self.stale_ad_depth -= 1,
         }
@@ -1630,40 +1690,33 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
     /// in ascending order (`BTreeMap` iteration), so every event mode and
     /// substrate performs the same IEEE operations in the same order.
     fn apply_derate(&mut self, sim: &mut Sim<Ev>, key: DevKey) {
-        let scale = self
-            .derate_active
-            .get(&key)
-            .filter(|m| !m.is_empty())
-            .map(|m| m.values().product())
-            .unwrap_or(1.0);
-        self.devices
-            .get_mut(&key)
-            .expect("perturbed device exists")
-            .set_rate_scale(sim.now(), scale);
-        self.sync_completions(sim, key);
+        let i = self.dev_index(key);
+        let d = &mut self.devs[i];
+        let scale = d.derate.values().product();
+        d.device.set_rate_scale(sim.now(), scale);
+        self.sync_completions(sim, i);
     }
 
     /// Sum of the offload-latency extras currently open on `key`.
     fn latency_extra(&self, key: DevKey) -> SimDuration {
-        self.latency_active
-            .get(&key)
-            .map(|m| m.values().fold(SimDuration::ZERO, |acc, &d| acc + d))
-            .unwrap_or(SimDuration::ZERO)
+        self.dev(key)
+            .latency
+            .values()
+            .fold(SimDuration::ZERO, |acc, &d| acc + d)
     }
 
     /// Reset one card and flush its COSMIC state.
     fn flush_device(&mut self, sim: &mut Sim<Ev>, key: DevKey) {
         let now = sim.now();
-        self.devices
-            .get_mut(&key)
-            .expect("device exists")
-            .reset(now);
-        if let Some(cos) = self.cosmic.get_mut(&key) {
+        let i = self.dev_index(key);
+        let d = &mut self.devs[i];
+        d.device.reset(now);
+        if let Some(cos) = d.cosmic.as_mut() {
             cos.reset();
         }
         // Marks the bumped generation synced (nothing is resident, so no
         // prediction is pushed) and invalidates in-flight completions.
-        self.sync_completions(sim, key);
+        self.sync_completions(sim, i);
     }
 
     /// Revoke a match that has not dispatched yet: restore the in-flight
@@ -1673,13 +1726,12 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
             .matched_dev
             .remove(&job)
             .expect("matched job has a device");
-        let spec = &self.wl.jobs[self.job_index[&job]];
-        *self
-            .inflight_declared
-            .get_mut(&key)
-            .expect("inflight entry") -= spec.mem_req_mb;
-        *self.inflight_count.get_mut(&key).expect("inflight entry") -= 1;
-        *self.inflight_threads.get_mut(&key).expect("inflight entry") -= spec.thread_req;
+        let wl = self.wl;
+        let spec = &wl.jobs[self.job_index[&job]];
+        let d = self.dev_mut(key);
+        d.inflight_declared -= spec.mem_req_mb;
+        d.inflight_count -= 1;
+        d.inflight_threads -= spec.thread_req;
         if let phishare_condor::JobState::Matched(slot) = self.queue.get(job).expect("queued").state
         {
             // No-op when the node churned away (its ads were invalidated).
@@ -1743,15 +1795,18 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
             .collect()
     }
 
+    /// Workload indices of the running jobs that satisfy `pred`, in
+    /// ascending `JobId` order (the order fault handling visits them in,
+    /// whatever the workload order).
     fn running_jobs_on(
         &self,
         pred: impl Fn(&RunningJob<D::Handle, C::Handle>) -> bool,
-    ) -> Vec<JobId> {
-        self.running
-            .iter()
-            .filter(|(_, r)| pred(r))
-            .map(|(&j, _)| j)
-            .collect()
+    ) -> Vec<usize> {
+        let mut jobs: Vec<usize> = (0..self.running.len())
+            .filter(|&idx| self.running[idx].as_ref().is_some_and(&pred))
+            .collect();
+        jobs.sort_unstable_by_key(|&idx| self.wl.jobs[idx].id);
+        jobs
     }
 
     /// Full re-advertise of a recovered node from ground truth (its ads
@@ -1759,22 +1814,31 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
     fn advertise_node(&mut self, node: u32) {
         let startd = &self.startds[(node - 1) as usize];
         debug_assert_eq!(startd.node, node, "startds are indexed by node - 1");
+        let (free_mem, devices_free) = self.node_capacity(node);
+        startd.advertise(&mut self.collector, free_mem, devices_free);
+    }
+
+    /// A node's advertised capacity from device ground truth: free declared
+    /// memory net of in-flight matches, and the number of entirely free
+    /// cards. A card mid-reset contributes nothing.
+    fn node_capacity(&self, node: u32) -> (u64, u32) {
+        let per_node = self.cfg.devices_per_node as usize;
+        let first = self.dev_index((node, 0));
         let mut free_mem = 0u64;
         let mut devices_free = 0u32;
-        for dev in 0..self.cfg.devices_per_node {
-            let key = (node, dev);
-            if self.down_devs.contains(&key) {
-                continue; // a card still mid-reset advertises nothing
-            }
-            let device = self.devices.get(&key).expect("device exists");
-            let inflight_mem = self.inflight_declared.get(&key).copied().unwrap_or(0);
-            let inflight_n = self.inflight_count.get(&key).copied().unwrap_or(0);
-            free_mem += device.free_declared_mb().saturating_sub(inflight_mem);
-            if device.resident_count() == 0 && inflight_n == 0 {
+        for d in self.devs[first..first + per_node]
+            .iter()
+            .filter(|d| !d.down)
+        {
+            free_mem += d
+                .device
+                .free_declared_mb()
+                .saturating_sub(d.inflight_declared);
+            if d.device.resident_count() == 0 && d.inflight_count == 0 {
                 devices_free += 1;
             }
         }
-        startd.advertise(&mut self.collector, free_mem, devices_free);
+        (free_mem, devices_free)
     }
 
     // ------------------------------------------------------------------
@@ -1805,61 +1869,39 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
 
     /// Per-device free envelopes as the external scheduler sees them.
     fn device_views(&self) -> Vec<DeviceView> {
-        self.devices
+        self.devs
             .iter()
-            .filter(|(&(node, dev), _)| {
-                !self.down_nodes.contains(&node) && !self.down_devs.contains(&(node, dev))
-            })
-            .map(|(&(node, dev), device)| {
-                let inflight = self
-                    .inflight_declared
-                    .get(&(node, dev))
-                    .copied()
-                    .unwrap_or(0);
-                let inflight_threads = self
-                    .inflight_threads
-                    .get(&(node, dev))
-                    .copied()
-                    .unwrap_or(0);
-                DeviceView {
+            .enumerate()
+            .filter_map(|(i, d)| {
+                let (node, device) = self.dev_key(i);
+                (!self.node(node).down && !d.down).then(|| DeviceView {
                     node,
-                    device: dev,
-                    free_declared_mb: device.free_declared_mb().saturating_sub(inflight),
+                    device,
+                    free_declared_mb: d
+                        .device
+                        .free_declared_mb()
+                        .saturating_sub(d.inflight_declared),
                     // Matched-but-undispatched jobs consume thread budget
                     // too, or successive cycles would overfill a device.
-                    resident_threads: device.declared_threads() + inflight_threads,
-                }
+                    resident_threads: d.device.declared_threads() + d.inflight_threads,
+                })
             })
             .collect()
     }
 
     /// Refresh every node's slot ads from device ground truth.
     fn refresh_ads(&mut self) {
-        for (startd, synced) in self.startds.iter().zip(&mut self.ads_synced) {
+        for (i, startd) in self.startds.iter().enumerate() {
             let node = startd.node;
-            if self.down_nodes.contains(&node) {
+            if self.nodes[i].down {
                 // A churned node has no ads to refresh; `refresh` would
                 // fall back to a full advertise and resurrect the dead
                 // startd. It re-advertises on recovery instead.
                 continue;
             }
-            let mut free_mem = 0u64;
-            let mut devices_free = 0u32;
-            for dev in 0..self.cfg.devices_per_node {
-                let key = (node, dev);
-                if self.down_devs.contains(&key) {
-                    continue; // a card mid-reset contributes no capacity
-                }
-                let device = self.devices.get(&key).expect("device exists");
-                let inflight_mem = self.inflight_declared.get(&key).copied().unwrap_or(0);
-                let inflight_n = self.inflight_count.get(&key).copied().unwrap_or(0);
-                free_mem += device.free_declared_mb().saturating_sub(inflight_mem);
-                if device.resident_count() == 0 && inflight_n == 0 {
-                    devices_free += 1;
-                }
-            }
+            let (free_mem, devices_free) = self.node_capacity(node);
             let seq = self.collector.node_seq(node);
-            if *synced == Some((seq, free_mem, devices_free)) {
+            if self.ads_synced[i] == Some((seq, free_mem, devices_free)) {
                 // Debug builds refresh anyway and check nothing was written.
                 #[cfg(debug_assertions)]
                 {
@@ -1874,7 +1916,7 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
                 continue;
             }
             startd.refresh(&mut self.collector, free_mem, devices_free);
-            *synced = Some((self.collector.node_seq(node), free_mem, devices_free));
+            self.ads_synced[i] = Some((self.collector.node_seq(node), free_mem, devices_free));
         }
     }
 
@@ -1882,23 +1924,24 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
     /// fits `mem_mb` (and, for the exclusive policy, is entirely free).
     fn choose_device(&self, node: u32, mem_mb: u64) -> Option<DevKey> {
         let mut best: Option<(u64, DevKey)> = None;
-        if self.down_nodes.contains(&node) {
+        if self.node(node).down {
             return None; // defensive: a churned node's ads are gone anyway
         }
         for dev in 0..self.cfg.devices_per_node {
             let key = (node, dev);
-            if self.down_devs.contains(&key) {
+            let d = self.dev(key);
+            if d.down {
                 continue;
             }
-            let device = self.devices.get(&key)?;
-            let inflight_mem = self.inflight_declared.get(&key).copied().unwrap_or(0);
-            let inflight_n = self.inflight_count.get(&key).copied().unwrap_or(0);
             if self.cfg.policy == ClusterPolicy::Mc
-                && (device.resident_count() > 0 || inflight_n > 0)
+                && (d.device.resident_count() > 0 || d.inflight_count > 0)
             {
                 continue;
             }
-            let free = device.free_declared_mb().saturating_sub(inflight_mem);
+            let free = d
+                .device
+                .free_declared_mb()
+                .saturating_sub(d.inflight_declared);
             if free >= mem_mb && best.map(|(b, _)| free > b).unwrap_or(true) {
                 best = Some((free, key));
             }
@@ -2002,14 +2045,14 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
 
     fn into_result(self, cfg: &ClusterConfig, wl: &Workload) -> ExperimentResult {
         let end = self.last_terminal;
-        let n_dev = self.devices.len() as f64;
+        let n_dev = self.devs.len() as f64;
         let mut thread_util = 0.0;
         let mut core_util = 0.0;
         let mut mem_util = 0.0;
         let mut busy = 0.0;
         let mut energy_joules = 0.0;
         let mut oom_kills_devices = 0u64;
-        for device in self.devices.values() {
+        for device in self.devs.iter().map(|d| &d.device) {
             let u = device.utilization(end);
             thread_util += u.thread_util;
             core_util += u.core_util;
@@ -2021,10 +2064,10 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
         debug_assert_eq!(oom_kills_devices as usize, self.oom_kills);
 
         let mut host_util = 0.0;
-        for host in self.hosts.values() {
-            host_util += host.busy_core_average(end) / cfg.host_cores_per_node as f64;
+        for node in &self.nodes {
+            host_util += node.host.busy_core_average(end) / cfg.host_cores_per_node as f64;
         }
-        host_util /= self.hosts.len() as f64;
+        host_util /= self.nodes.len() as f64;
 
         let plan_stats = self
             .scheduler
@@ -2033,7 +2076,7 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
             .unwrap_or_default();
 
         let mut queue_waits = Summary::new();
-        for cos in self.cosmic.values() {
+        for cos in self.devs.iter().filter_map(|d| d.cosmic.as_ref()) {
             // Aggregate COSMIC queue waits across devices.
             if cos.queue_wait_count() > 0 {
                 queue_waits.record(cos.queue_wait_mean());
@@ -2381,6 +2424,21 @@ mod tests {
         wl.jobs[1].mem_req_mb = 100_000;
         let err = Experiment::run(&fast_config(ClusterPolicy::Mc), &wl).unwrap_err();
         assert!(err.contains("100000"), "{err}");
+    }
+
+    #[test]
+    fn duplicate_ids_and_mismatched_arrivals_are_errors_not_panics() {
+        let mut dup = small_workload(6, 7);
+        dup.jobs[4].id = dup.jobs[1].id;
+        let mut short = small_workload(6, 7);
+        short.arrivals.pop();
+        for policy in [ClusterPolicy::Mc, ClusterPolicy::Mcc, ClusterPolicy::Mcck] {
+            let cfg = fast_config(policy);
+            let err = Experiment::run(&cfg, &dup).unwrap_err();
+            assert!(err.contains("another job"), "{policy}: {err}");
+            let err = Experiment::run(&cfg, &short).unwrap_err();
+            assert!(err.contains("6 jobs but 5 arrival"), "{policy}: {err}");
+        }
     }
 
     #[test]

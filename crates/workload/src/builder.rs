@@ -1,7 +1,7 @@
 //! Workload assembly: job sets, arrival processes, (de)serialization.
 
 use crate::ids::JobId;
-use crate::job::JobSpec;
+use crate::job::{JobSpec, JobSpecError};
 use crate::synthetic::{ResourceDist, SyntheticParams};
 use crate::table1::AppKind;
 use phishare_sim::{DetRng, SimDuration, SimTime};
@@ -280,15 +280,39 @@ impl Workload {
             .fold(SimDuration::ZERO, |acc, j| acc + j.nominal_duration())
     }
 
-    /// Validate every job in the workload.
-    pub fn validate(&self) -> Result<(), (JobId, crate::job::JobSpecError)> {
-        assert_eq!(
-            self.jobs.len(),
-            self.arrivals.len(),
-            "arrivals must parallel jobs"
-        );
+    /// Validate every job in the workload, that no two jobs share an id,
+    /// and that `arrivals` pairs one-to-one with `jobs`.
+    ///
+    /// A length mismatch names the first job without an arrival, or the
+    /// last job when arrivals outnumber jobs (`JobId(0)` when there are no
+    /// jobs at all).
+    pub fn validate(&self) -> Result<(), (JobId, JobSpecError)> {
+        if self.jobs.len() != self.arrivals.len() {
+            let named = self.jobs.get(self.arrivals.len()).or(self.jobs.last());
+            return Err((
+                named.map_or(JobId(0), |j| j.id),
+                JobSpecError::ArrivalsMismatch {
+                    jobs: self.jobs.len(),
+                    arrivals: self.arrivals.len(),
+                },
+            ));
+        }
+        // Generated workloads number their jobs in ascending order, which
+        // proves the ids unique in the same pass; anything else pays for a
+        // sort.
+        let mut ascending = true;
+        let mut prev: Option<JobId> = None;
         for j in &self.jobs {
             j.validate().map_err(|e| (j.id, e))?;
+            ascending &= prev.is_none_or(|p| p < j.id);
+            prev = Some(j.id);
+        }
+        if !ascending {
+            let mut ids: Vec<JobId> = self.jobs.iter().map(|j| j.id).collect();
+            ids.sort_unstable();
+            if let Some(w) = ids.windows(2).find(|w| w[0] == w[1]) {
+                return Err((w[0], JobSpecError::DuplicateId));
+            }
         }
         Ok(())
     }
@@ -443,6 +467,44 @@ impl WorkloadBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn validate_rejects_duplicate_ids() {
+        let mut wl = WorkloadBuilder::new(WorkloadKind::Table1Mix)
+            .count(6)
+            .seed(3)
+            .build();
+        wl.jobs.swap(1, 4); // non-monotone, still unique
+        wl.validate().unwrap();
+        let dup = wl.jobs[2].id;
+        wl.jobs[5].id = dup;
+        assert_eq!(wl.validate(), Err((dup, JobSpecError::DuplicateId)));
+    }
+
+    #[test]
+    fn validate_rejects_mismatched_arrivals() {
+        let mut wl = WorkloadBuilder::new(WorkloadKind::Table1Mix)
+            .count(4)
+            .seed(3)
+            .build();
+        wl.arrivals.pop();
+        let mismatch = JobSpecError::ArrivalsMismatch {
+            jobs: 4,
+            arrivals: 3,
+        };
+        assert_eq!(wl.validate(), Err((wl.jobs[3].id, mismatch)));
+        wl.arrivals.extend([SimTime::ZERO; 2]);
+        let mismatch = JobSpecError::ArrivalsMismatch {
+            jobs: 4,
+            arrivals: 5,
+        };
+        assert_eq!(wl.validate(), Err((wl.jobs[3].id, mismatch)));
+        wl.jobs.clear();
+        assert!(matches!(
+            wl.validate(),
+            Err((JobId(0), JobSpecError::ArrivalsMismatch { jobs: 0, .. }))
+        ));
+    }
 
     #[test]
     fn table1_mix_covers_all_apps() {

@@ -149,6 +149,15 @@ pub enum JobSpecError {
     ZeroDeclaredThreads,
     /// The declared memory requirement is zero.
     ZeroDeclaredMemory,
+    /// Another job of the same workload carries this id.
+    DuplicateId,
+    /// The workload's `arrivals` do not pair one-to-one with its jobs.
+    ArrivalsMismatch {
+        /// Number of jobs.
+        jobs: usize,
+        /// Number of arrival instants.
+        arrivals: usize,
+    },
 }
 
 impl fmt::Display for JobSpecError {
@@ -164,6 +173,11 @@ impl fmt::Display for JobSpecError {
                 write!(f, "job offloads but declares 0 threads")
             }
             JobSpecError::ZeroDeclaredMemory => write!(f, "job declares 0 MB of device memory"),
+            JobSpecError::DuplicateId => write!(f, "another job in the workload has this id"),
+            JobSpecError::ArrivalsMismatch { jobs, arrivals } => write!(
+                f,
+                "workload has {jobs} jobs but {arrivals} arrival instants"
+            ),
         }
     }
 }

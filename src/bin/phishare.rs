@@ -26,6 +26,7 @@ use phishare::workload::{
     WorkloadBuilder, WorkloadKind,
 };
 use std::collections::BTreeMap;
+use std::io::{self, Write};
 use std::process::ExitCode;
 
 const USAGE: &str = "\
@@ -61,6 +62,38 @@ USAGE:
                       cells from DIR's manifest, checkpoint, exit.
   phishare help
 ";
+
+/// Why a command stopped early.
+enum Failure {
+    /// Bad input or a failed run: reported on stderr, exit 1.
+    Message(String),
+    /// Writing the command's output failed. A reader that closed the pipe
+    /// early (`| head`) ends the command quietly with exit 0; any other
+    /// write error (a full disk, `/dev/full`) is reported, exit 1.
+    Output(io::Error),
+}
+
+impl From<String> for Failure {
+    fn from(message: String) -> Self {
+        Failure::Message(message)
+    }
+}
+
+impl From<&str> for Failure {
+    fn from(message: &str) -> Self {
+        Failure::Message(message.into())
+    }
+}
+
+impl From<io::Error> for Failure {
+    fn from(e: io::Error) -> Self {
+        Failure::Output(e)
+    }
+}
+
+/// What every command returns; all standard output goes through the one
+/// writer `main` hands it, so a write error is a value, never a panic.
+type Outcome = Result<(), Failure>;
 
 /// Parsed `--key value` flags (and bare `--key` booleans).
 struct Flags(BTreeMap<String, String>);
@@ -212,7 +245,7 @@ const RESULT_HEADER: [&str; 6] = [
     "Energy (kWh)",
 ];
 
-fn cmd_run(flags: &Flags) -> Result<(), String> {
+fn cmd_run(flags: &Flags, out: &mut impl Write) -> Outcome {
     let policy: ClusterPolicy = flags
         .get_str("policy")
         .ok_or("run requires --policy")?
@@ -240,31 +273,32 @@ fn cmd_run(flags: &Flags) -> Result<(), String> {
     let (result, trace) = Experiment::run_with(&config, &workload, &opts)?;
 
     if let Some(trace) = trace {
-        println!("{}", table(&RESULT_HEADER, &[result_row(&result)]));
-        print!("{}", trace.node_gantt(96));
+        writeln!(out, "{}", table(&RESULT_HEADER, &[result_row(&result)]))?;
+        write!(out, "{}", trace.node_gantt(96))?;
         let violations = phishare::cluster::audit(&config, &workload, &result, &trace);
         if violations.is_empty() {
-            println!("self-check: OK ({} trace events audited)", trace.len());
+            writeln!(out, "self-check: OK ({} trace events audited)", trace.len())?;
         } else {
             for v in &violations {
                 eprintln!("self-check violation: {v}");
             }
-            return Err(format!("{} self-check violations", violations.len()));
+            return Err(format!("{} self-check violations", violations.len()).into());
         }
         return Ok(());
     }
     if flags.has("json") {
-        println!(
+        writeln!(
+            out,
             "{}",
             serde_json::to_string_pretty(&result).expect("result serializes")
-        );
+        )?;
     } else {
-        println!("{}", table(&RESULT_HEADER, &[result_row(&result)]));
+        writeln!(out, "{}", table(&RESULT_HEADER, &[result_row(&result)]))?;
     }
     Ok(())
 }
 
-fn cmd_compare(flags: &Flags) -> Result<(), String> {
+fn cmd_compare(flags: &Flags, out: &mut impl Write) -> Outcome {
     let nodes: u32 = flags.get("nodes", 8)?;
     let workload = build_workload(flags, "jobs", 400)?;
     let seed: u64 = flags.get("seed", 7)?;
@@ -292,11 +326,11 @@ fn cmd_compare(flags: &Flags) -> Result<(), String> {
     }
     let mut header: Vec<&str> = RESULT_HEADER.to_vec();
     header.push("vs first");
-    println!("{}", table(&header, &rows));
+    writeln!(out, "{}", table(&header, &rows))?;
     Ok(())
 }
 
-fn cmd_footprint(flags: &Flags) -> Result<(), String> {
+fn cmd_footprint(flags: &Flags, out: &mut impl Write) -> Outcome {
     let max_nodes: u32 = flags.get("max-nodes", 8)?;
     let tolerance: f64 = flags.get("tolerance", 0.02)?;
     let workload = build_workload(flags, "jobs", 400)?;
@@ -308,10 +342,11 @@ fn cmd_footprint(flags: &Flags) -> Result<(), String> {
             .with_seed(seed),
         &workload,
     )?;
-    println!(
+    writeln!(
+        out,
         "baseline: MC on {max_nodes} nodes → makespan {:.0} s\n",
         mc.makespan_secs
-    );
+    )?;
     let mut rows = Vec::new();
     for policy in [ClusterPolicy::Mcc, ClusterPolicy::Mcck] {
         let fp = footprint_search(
@@ -331,20 +366,21 @@ fn cmd_footprint(flags: &Flags) -> Result<(), String> {
                 .unwrap_or_else(|| "-".into()),
         ]);
     }
-    println!(
+    writeln!(
+        out,
         "{}",
         table(&["Policy", "Nodes needed", "Footprint reduction"], &rows)
-    );
+    )?;
     Ok(())
 }
 
-fn cmd_sweep(flags: &Flags) -> Result<(), String> {
+fn cmd_sweep(flags: &Flags, out: &mut impl Write) -> Outcome {
     let policies: Vec<ClusterPolicy> = flags
         .get_str("policies")
         .unwrap_or("mc,mcc,mcck")
         .split(',')
         .map(|p| p.trim().parse())
-        .collect::<Result<_, _>>()?;
+        .collect::<Result<_, String>>()?;
     let sizes: Vec<u32> = flags
         .get_str("sizes")
         .unwrap_or("2,4,8")
@@ -354,7 +390,7 @@ fn cmd_sweep(flags: &Flags) -> Result<(), String> {
                 .parse()
                 .map_err(|e| format!("bad --sizes entry {n:?}: {e}"))
         })
-        .collect::<Result<_, _>>()?;
+        .collect::<Result<_, String>>()?;
     let seed: u64 = flags.get("seed", 7)?;
     let substrate: SubstrateMode = flags.get("substrate", SubstrateMode::Fast)?;
     let pool: DevicePool = flags.get("pool", DevicePool::Uniform)?;
@@ -405,10 +441,11 @@ fn cmd_sweep(flags: &Flags) -> Result<(), String> {
                 err: outcome.as_ref().err().cloned(),
             })
             .collect();
-        println!(
+        writeln!(
+            out,
             "{}",
             serde_json::to_string_pretty(&records).expect("records serialize")
-        );
+        )?;
         return Ok(());
     }
     let mut rows = Vec::new();
@@ -424,23 +461,23 @@ fn cmd_sweep(flags: &Flags) -> Result<(), String> {
     }
     let mut header = RESULT_HEADER.to_vec();
     header[0] = "Cell";
-    println!("{}", table(&header, &rows));
+    writeln!(out, "{}", table(&header, &rows))?;
     Ok(())
 }
 
-fn cmd_workload(flags: &Flags) -> Result<(), String> {
+fn cmd_workload(flags: &Flags, out: &mut impl Write) -> Outcome {
     let workload = build_workload(flags, "count", 100)?;
     let rendered = match flags.get_str("format").unwrap_or("csv") {
         "csv" => workload_to_csv(&workload),
         "json" => workload.to_json(),
-        other => return Err(format!("unknown --format {other:?}")),
+        other => return Err(format!("unknown --format {other:?}").into()),
     };
     match flags.get_str("out") {
         Some(path) => {
             std::fs::write(path, rendered).map_err(|e| format!("cannot write {path}: {e}"))?;
-            println!("wrote {} jobs to {path}", workload.len());
+            writeln!(out, "wrote {} jobs to {path}", workload.len())?;
         }
-        None => print!("{rendered}"),
+        None => write!(out, "{rendered}")?,
     }
     Ok(())
 }
@@ -466,21 +503,29 @@ fn main() -> ExitCode {
             }
         };
     }
-    let outcome = Flags::parse(rest).and_then(|flags| match command.as_str() {
-        "run" => cmd_run(&flags),
-        "compare" => cmd_compare(&flags),
-        "footprint" => cmd_footprint(&flags),
-        "workload" => cmd_workload(&flags),
-        "sweep" => cmd_sweep(&flags),
-        "help" | "--help" | "-h" => {
-            print!("{USAGE}");
-            Ok(())
-        }
-        other => Err(format!("unknown command {other:?}\n\n{USAGE}")),
-    });
-    match outcome {
+    let mut out = io::stdout();
+    let outcome =
+        Flags::parse(rest)
+            .map_err(Failure::from)
+            .and_then(|flags| match command.as_str() {
+                "run" => cmd_run(&flags, &mut out),
+                "compare" => cmd_compare(&flags, &mut out),
+                "footprint" => cmd_footprint(&flags, &mut out),
+                "workload" => cmd_workload(&flags, &mut out),
+                "sweep" => cmd_sweep(&flags, &mut out),
+                "help" | "--help" | "-h" => Ok(write!(out, "{USAGE}")?),
+                other => Err(format!("unknown command {other:?}\n\n{USAGE}").into()),
+            });
+    // Flush what the command wrote before reporting how it ended.
+    let flushed = out.flush().map_err(Failure::from);
+    match outcome.and(flushed) {
         Ok(()) => ExitCode::SUCCESS,
-        Err(message) => {
+        Err(Failure::Output(e)) if e.kind() == io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(Failure::Output(e)) => {
+            eprintln!("error: cannot write output: {e}");
+            ExitCode::FAILURE
+        }
+        Err(Failure::Message(message)) => {
             eprintln!("error: {message}");
             ExitCode::FAILURE
         }

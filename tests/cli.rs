@@ -156,3 +156,46 @@ fn gantt_self_check_passes_on_non_default_substrates() {
         assert!(stdout.contains("self-check: OK"), "{substrate}:\n{stdout}");
     }
 }
+
+#[test]
+fn a_reader_closing_stdout_early_ends_the_command_quietly() {
+    use std::io::Read;
+    use std::process::Stdio;
+    // ~1 MB of CSV: far more than a pipe buffers, so the writer is still
+    // writing when the reader goes away (`phishare workload | head -c 10`).
+    let mut child = Command::new(env!("CARGO_BIN_EXE_phishare"))
+        .args(["workload", "--count", "20000", "--format", "csv"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    let mut head = [0u8; 10];
+    child
+        .stdout
+        .take()
+        .expect("piped stdout")
+        .read_exact(&mut head)
+        .expect("the command writes");
+    // The read end is dropped here, closing the pipe.
+    let out = child.wait_with_output().expect("the command exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{:?}: {stderr}", out.status);
+    assert!(stderr.is_empty(), "{stderr}");
+    assert_eq!(&head, b"name,mem_m");
+}
+
+#[test]
+fn an_unwritable_stdout_is_an_error_not_a_panic() {
+    let Ok(full) = std::fs::OpenOptions::new().write(true).open("/dev/full") else {
+        return; // no always-full device on this platform
+    };
+    let out = Command::new(env!("CARGO_BIN_EXE_phishare"))
+        .args(["workload", "--count", "20"])
+        .stdout(full)
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("cannot write output"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
